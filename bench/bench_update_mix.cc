@@ -10,10 +10,6 @@
 // the same stream through the same interface at batch sizes {1, 16, 256,
 // 4096}; the interpreted engine must beat its own batch=1 rate at 4096.
 //
-// Axis 2b — boundary layout: toaster-c ingesting the same stream through
-// the columnar batch path vs the per-event row shim at batch sizes {256,
-// 4096} — the cost of rows at the boundary, isolated from query cost.
-//
 // Axis 3 — threads: the hash-sharded parallel ApplyBatch layer. The thread
 // axis {1, 2, 4, 8} crosses the batch axis; per the determinism contract
 // the views are identical at every point, only the rate moves. Speedup
@@ -44,7 +40,7 @@ namespace dbtoaster::bench {
 namespace {
 
 struct Cell {
-  std::string sweep;   // "batch" | "threads" | "batch-path[-<q>]" | ...
+  std::string sweep;   // "batch" | "threads" | "prologue-<q>" | ...
   std::string engine;
   size_t batch = 0;
   size_t threads = 1;
@@ -140,54 +136,6 @@ void RunBatchSweep(bool quick) {
       "interpreted\nengine's batch=4096 rate must beat its batch=1 rate, "
       "and reeval gains\nthe most (one view refresh per batch instead of "
       "per event).\n");
-}
-
-// Axis 2b — boundary layout: the same generated program ingesting the same
-// stream, once through the columnar batch path (typed column vectors moved
-// straight into the generated on_batch_<R> handlers) and once through the
-// per-event row shim (tuples reassembled and re-dispatched one at a time).
-// The gap is the price of rows at the boundary, isolated from query cost.
-void RunBatchPathSweep(bool quick) {
-  Catalog catalog = workload::OrderBookCatalog();
-  workload::OrderBookConfig cfg;
-  cfg.p_modify = 0.2;
-  cfg.p_withdraw = 0.1;
-  workload::OrderBookGenerator gen(cfg);
-  std::vector<Event> events = gen.Generate(quick ? 40000 : 400000);
-  const double kBudget = quick ? 0.15 : 1.0;  // s per (path, batch) cell
-  const size_t kBatchSizes[] = {256, 4096};
-
-  std::printf(
-      "\n== events/sec: columnar batch path vs row shim (market-maker "
-      "query, toaster-c) ==\n");
-  std::printf("%-20s", "path");
-  for (size_t bs : kBatchSizes) std::printf(" %13s=%-4zu", "batch", bs);
-  std::printf("\n%s\n", std::string(58, '-').c_str());
-
-  struct Path {
-    const char* name;
-    runtime::CompiledProgramEngine::BatchPath path;
-  };
-  const Path kPaths[] = {
-      {"toaster-c-columnar", runtime::CompiledProgramEngine::BatchPath::kColumnar},
-      {"toaster-c-row", runtime::CompiledProgramEngine::BatchPath::kRow},
-  };
-  for (const Path& p : kPaths) {
-    std::printf("%-20s", p.name);
-    for (size_t bs : kBatchSizes) {
-      dbtoaster_gen::mm_Program generated;
-      runtime::CompiledProgramEngine engine(&generated, p.name, p.path);
-      auto [n, s] = TimedBatchRun(events, kBudget, bs, &engine);
-      double rate = s > 0 ? static_cast<double>(n) / s : 0;
-      g_cells.push_back(Cell{"batch-path", p.name, bs, 1, n, s});
-      std::printf(" %18.0f", rate);
-    }
-    std::printf("\n");
-  }
-  std::printf(
-      "\nshape check: the columnar path skips one tuple materialization "
-      "and\nre-dispatch per event; differential_test pins the two paths "
-      "to\nbyte-identical views.\n");
 }
 
 void RunThreadSweep(bool quick) {
@@ -400,31 +348,22 @@ bool LoadQueryCatalog(const char* name, Catalog* catalog) {
   return true;
 }
 
-// Axis 2c — per-query boundary layout on the predicate-heavy fragment
-// queries: the acceptance meter for the vectorized-selection prologue.
-// Each query's generated program ingests its own seeded random stream
-// through the columnar batch path and the row shim at batch {256, 4096};
-// the selection counters (selected_rows / probe_runs) land in the JSON.
-void RunQueryBatchPathSweep(bool quick) {
-  const double kBudget = quick ? 0.1 : 0.6;  // s per (query, path, batch)
+// Axis 2c — the predicate-heavy fragment queries on the columnar batch
+// path: the acceptance meter for the vectorized-selection prologue. Each
+// query's generated program ingests its own seeded random stream at batch
+// {256, 4096}; the selection counters (selected_rows / probe_runs) land in
+// the JSON.
+void RunSelectionPrologueSweep(bool quick) {
+  const double kBudget = quick ? 0.1 : 0.6;  // s per (query, batch)
   const size_t kBatchSizes[] = {256, 4096};
 
   std::printf(
-      "\n== events/sec: columnar vs row shim on predicate-heavy queries "
-      "(toaster-c) ==\n");
-  std::printf("%-8s %-20s", "query", "path");
+      "\n== events/sec on predicate-heavy queries (toaster-c, columnar "
+      "batches) ==\n");
+  std::printf("%-8s", "query");
   for (size_t bs : kBatchSizes) std::printf(" %13s=%-4zu", "batch", bs);
-  std::printf("\n%s\n", std::string(66, '-').c_str());
+  std::printf("\n%s\n", std::string(46, '-').c_str());
 
-  struct Path {
-    const char* name;
-    runtime::CompiledProgramEngine::BatchPath path;
-  };
-  const Path kPaths[] = {
-      {"toaster-c-columnar",
-       runtime::CompiledProgramEngine::BatchPath::kColumnar},
-      {"toaster-c-row", runtime::CompiledProgramEngine::BatchPath::kRow},
-  };
   const char* kQueries[] = {"q3s", "q6s", "q12s"};
   for (size_t qi = 0; qi < std::size(kQueries); ++qi) {
     const char* name = kQueries[qi];
@@ -432,36 +371,32 @@ void RunQueryBatchPathSweep(bool quick) {
     if (!LoadQueryCatalog(name, &catalog)) continue;
     std::vector<Event> events = FragmentStream(
         catalog, quick ? 20000 : 150000, 0x5e1ec7 + qi * 0x9e3779b97f4aULL);
-    for (const Path& p : kPaths) {
-      std::printf("%-8s %-20s", name, p.name);
-      for (size_t bs : kBatchSizes) {
-        std::unique_ptr<dbt::StreamProgram> generated = FragmentProgram(name);
-        runtime::CompiledProgramEngine engine(generated.get(), p.name,
-                                              p.path);
-        auto [n, s] = TimedBatchRun(events, kBudget, bs, &engine);
-        Cell cell{std::string("batch-path-") + name, p.name, bs, 1, n, s};
-        cell.selected_rows = generated->selected_rows();
-        cell.probe_runs = generated->probe_runs();
-        g_cells.push_back(cell);
-        std::printf(" %18.0f", s > 0 ? static_cast<double>(n) / s : 0);
-      }
-      std::printf("\n");
+    std::printf("%-8s", name);
+    for (size_t bs : kBatchSizes) {
+      std::unique_ptr<dbt::StreamProgram> generated = FragmentProgram(name);
+      runtime::CompiledProgramEngine engine(generated.get());
+      auto [n, s] = TimedBatchRun(events, kBudget, bs, &engine);
+      Cell cell{std::string("prologue-") + name, engine.Name(), bs, 1, n, s};
+      cell.selected_rows = generated->selected_rows();
+      cell.probe_runs = generated->probe_runs();
+      g_cells.push_back(cell);
+      std::printf(" %18.0f", s > 0 ? static_cast<double>(n) / s : 0);
     }
+    std::printf("\n");
   }
   std::printf(
-      "\nshape check: selection passes + run-batched probes widen the "
-      "columnar\nlead on low-selectivity queries; both paths stay "
-      "byte-identical\n(tests/differential_test.cc).\n");
+      "\nshape check: selection passes + run-batched probes make "
+      "low-selectivity\nqueries cheaper per event; batched and per-event "
+      "replay stay byte-identical\n(tests/differential_test.cc).\n");
 }
 
 // Axis 5 — selectivity: q6s with its shipdate guard's hit-rate dialed from
 // 0%% to 100%% (the other predicates always pass). The columnar path's
-// selection prologue makes skipped rows nearly free; the row shim pays the
-// full per-event dispatch either way.
+// selection prologue makes skipped rows nearly free.
 void RunSelectivitySweep(bool quick) {
   Catalog catalog;
   if (!LoadQueryCatalog("q6s", &catalog)) return;
-  const double kBudget = quick ? 0.1 : 0.6;  // s per (path, hit-rate) cell
+  const double kBudget = quick ? 0.1 : 0.6;  // s per hit-rate cell
   const size_t kBatch = 4096;
   const double kHitRates[] = {0.0, 0.25, 0.5, 0.75, 1.0};
 
@@ -491,35 +426,22 @@ void RunSelectivitySweep(bool quick) {
   std::printf(
       "\n== events/sec vs predicate hit-rate (q6s shipdate guard, batch "
       "%zu) ==\n", kBatch);
-  std::printf("%-20s", "path");
   for (double h : kHitRates) std::printf(" %11s=%-3.0f%%", "hit", h * 100);
-  std::printf("\n%s\n", std::string(100, '-').c_str());
+  std::printf("\n%s\n", std::string(80, '-').c_str());
 
-  struct Path {
-    const char* name;
-    runtime::CompiledProgramEngine::BatchPath path;
-  };
-  const Path kPaths[] = {
-      {"toaster-c-columnar",
-       runtime::CompiledProgramEngine::BatchPath::kColumnar},
-      {"toaster-c-row", runtime::CompiledProgramEngine::BatchPath::kRow},
-  };
-  for (const Path& p : kPaths) {
-    std::printf("%-20s", p.name);
-    for (double hit : kHitRates) {
-      std::vector<Event> events = make_stream(hit);
-      std::unique_ptr<dbt::StreamProgram> generated = FragmentProgram("q6s");
-      runtime::CompiledProgramEngine engine(generated.get(), p.name, p.path);
-      auto [n, s] = TimedBatchRun(events, kBudget, kBatch, &engine);
-      Cell cell{"selectivity-q6s", p.name, kBatch, 1, n, s};
-      cell.selectivity = hit;
-      cell.selected_rows = generated->selected_rows();
-      cell.probe_runs = generated->probe_runs();
-      g_cells.push_back(cell);
-      std::printf(" %16.0f", s > 0 ? static_cast<double>(n) / s : 0);
-    }
-    std::printf("\n");
+  for (double hit : kHitRates) {
+    std::vector<Event> events = make_stream(hit);
+    std::unique_ptr<dbt::StreamProgram> generated = FragmentProgram("q6s");
+    runtime::CompiledProgramEngine engine(generated.get());
+    auto [n, s] = TimedBatchRun(events, kBudget, kBatch, &engine);
+    Cell cell{"selectivity-q6s", engine.Name(), kBatch, 1, n, s};
+    cell.selectivity = hit;
+    cell.selected_rows = generated->selected_rows();
+    cell.probe_runs = generated->probe_runs();
+    g_cells.push_back(cell);
+    std::printf(" %16.0f", s > 0 ? static_cast<double>(n) / s : 0);
   }
+  std::printf("\n");
   std::printf(
       "\nshape check: the columnar rate rises as selectivity drops "
       "(skipped rows\ncost one branch-free lane compare); selected_rows "
@@ -574,10 +496,9 @@ int main(int argc, char** argv) {
   }
   dbtoaster::bench::RunMixSweep(quick);
   dbtoaster::bench::RunBatchSweep(quick);
-  dbtoaster::bench::RunBatchPathSweep(quick);
   dbtoaster::bench::RunThreadSweep(quick);
   dbtoaster::bench::RunFragmentSweep(quick);
-  dbtoaster::bench::RunQueryBatchPathSweep(quick);
+  dbtoaster::bench::RunSelectionPrologueSweep(quick);
   dbtoaster::bench::RunSelectivitySweep(quick);
   return dbtoaster::bench::WriteJson(out_path) ? 0 : 1;
 }

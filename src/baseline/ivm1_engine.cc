@@ -140,11 +140,6 @@ Status Ivm1Engine::ApplyGroup(const std::string& relation, EventKind kind,
   runtime::Bindings env;
   for (size_t e = 0; e < count; ++e) {
     const Row& tuple = tuples[e];
-    if (tuple.size() != schema->num_columns()) {
-      return Status::InvalidArgument(
-          StrFormat("event arity %zu does not match schema %s", tuple.size(),
-                    schema->ToString().c_str()));
-    }
     for (size_t c = 0; c < params.size(); ++c) env[params[c]] = tuple[c];
 
     // Evaluate all delta statements against the pre-state.
@@ -195,8 +190,8 @@ Status Ivm1Engine::DoOnEvent(const Event& event) {
 
 Status Ivm1Engine::DoApplyBatch(runtime::EventBatch&& batch) {
   for (const runtime::EventBatch::Group& g : batch.groups()) {
-    DBT_RETURN_IF_ERROR(
-        ApplyGroup(g.relation, g.kind, g.rows_view().data(), g.rows));
+    const std::vector<Row> rows = g.Rows();
+    DBT_RETURN_IF_ERROR(ApplyGroup(g.relation, g.kind, rows.data(), g.rows));
   }
   return Status::OK();
 }

@@ -2051,10 +2051,10 @@ Status Generator::EmitViews(std::string* out) {
 }
 
 /// Per-relation fused batch handlers: one sign-parameterized entry point
-/// per relation consumes a columnar (relation, op) group directly. When the
-/// group's column layout matches the relation schema the handler scans the
-/// flat typed arrays (no per-event Value unboxing); a layout mismatch falls
-/// back to the row shim. Under a shard plan, large groups are
+/// per relation consumes a columnar (relation, op) group directly, scanning
+/// the flat typed arrays (no per-event Value unboxing). The ingest boundary
+/// puts every lane on its schema type; a group whose layout still differs
+/// is refused (returns 0). Under a shard plan, large groups are
 /// hash-partitioned on the relation's partition attribute into the fixed
 /// logical shards and replayed on the worker pool; shard isolation (every
 /// store partitioned on the same attribute) makes this equal to the
@@ -2115,14 +2115,18 @@ Status Generator::EmitBatchHandlers(std::string* out) {
     // whole group (same events the per-event dispatcher would reject).
     if (!t.has_insert) Line(out, "if (sign > 0) return 0;");
     if (!t.has_delete) Line(out, "if (sign < 0) return 0;");
-    Line(out, "const size_t n = g.rows;");
-    std::string check = StrFormat("g.cols.size() == %zu", ncols);
+    // Layout guard: the driving engine coerced every lane onto the schema,
+    // so only a direct embedder's mistyped or malformed group fails it, and
+    // is refused rather than read out of bounds or as padding.
+    std::string check = StrFormat(
+        "g.defect.kind != dbt::RowDefect::Kind::kNone || g.cols.size() != %zu",
+        ncols);
     for (size_t i = 0; i < ncols; ++i) {
-      check += StrFormat(" && g.cols[%zu].tag == dbt::EventColumn::Tag::%s",
+      check += StrFormat(" || g.cols[%zu].tag != dbt::EventColumn::Tag::%s",
                          i, tags[i].c_str());
     }
-    Line(out, StrFormat("if (%s) {", check.c_str()));
-    ++indent_;
+    Line(out, StrFormat("if (%s) return 0;", check.c_str()));
+    Line(out, "const size_t n = g.rows;");
     std::string col_args, vec_args;
     for (size_t i = 0; i < ncols; ++i) {
       Line(out, StrFormat("const %s* c%zu = g.cols[%zu].%s.data();",
@@ -2146,22 +2150,10 @@ Status Generator::EmitBatchHandlers(std::string* out) {
       if (vec) {
         // Selection runs AFTER the shard split, over each shard's
         // sub-range — never re-evaluated per row.
-        Line(out, "if (dbt::SelectionEnabled()) {");
-        ++indent_;
         Line(out, StrFormat("vec_%s(%sshard_idx[shard].data(), "
                             "static_cast<uint32_t>(shard_idx[shard].size()), "
                             "sign);",
                             rel.c_str(), vec_args.c_str()));
-        --indent_;
-        Line(out, "} else {");
-        ++indent_;
-        Line(out, "for (uint32_t i : shard_idx[shard]) {");
-        ++indent_;
-        Line(out, StrFormat("on_%s(%ssign);", rel.c_str(), col_args.c_str()));
-        --indent_;
-        Line(out, "}");
-        --indent_;
-        Line(out, "}");
       } else {
         Line(out, "for (uint32_t i : shard_idx[shard]) {");
         ++indent_;
@@ -2176,7 +2168,7 @@ Status Generator::EmitBatchHandlers(std::string* out) {
       Line(out, "}");
     }
     if (vec) {
-      Line(out, "if (dbt::SelectionEnabled() && n > 1) {");
+      Line(out, "if (n > 1) {");
       ++indent_;
       Line(out, StrFormat("vec_%s(%snullptr, static_cast<uint32_t>(n), "
                           "sign);",
@@ -2188,31 +2180,6 @@ Status Generator::EmitBatchHandlers(std::string* out) {
     Line(out, "for (size_t i = 0; i < n; ++i) {");
     ++indent_;
     Line(out, StrFormat("on_%s(%ssign);", rel.c_str(), col_args.c_str()));
-    --indent_;
-    Line(out, "}");
-    Line(out, "return n;");
-    --indent_;
-    Line(out, "}");
-    // Row shim fallback (column tags diverged from the schema, e.g. a feed
-    // that mixed value types within one column).
-    std::string row_args;
-    for (size_t i = 0; i < ncols; ++i) {
-      switch (t.params[i].type) {
-        case Type::kDouble:
-          row_args += StrFormat("dbt::AsDouble(r[%zu]), ", i);
-          break;
-        case Type::kString:
-          row_args += StrFormat("dbt::AsString(r[%zu]), ", i);
-          break;
-        default:
-          row_args += StrFormat("dbt::AsInt(r[%zu]), ", i);
-          break;
-      }
-    }
-    Line(out, "for (size_t i = 0; i < n; ++i) {");
-    ++indent_;
-    Line(out, "const std::vector<dbt::Value> r = g.row(i);");
-    Line(out, StrFormat("on_%s(%ssign);", rel.c_str(), row_args.c_str()));
     --indent_;
     Line(out, "}");
     Line(out, "return n;");

@@ -7,6 +7,8 @@
 #ifndef DBTOASTER_CODEGEN_DBTOASTER_RUNTIME_H_
 #define DBTOASTER_CODEGEN_DBTOASTER_RUNTIME_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -355,11 +357,14 @@ class ExtremeMap {
   FlatMap<K, Group, TupleHash> data_;
 };
 
-/// One typed column of a batch group. The tag is fixed by the first tuple
-/// appended (dates travel as int64 days, matching the engine's value
-/// model), and later tuples are coerced onto it, so a group's storage is
-/// three flat arrays at most — the layout generated on_batch_<R> handlers
-/// scan directly.
+/// One typed column of a batch group: a flat lane of int64 (which also
+/// carries dates as days since epoch), double, or string. The first value
+/// appended picks the lane. Numeric values are never narrowed on the way
+/// in: a double arriving in an int64 lane widens the whole lane to double
+/// (ints beyond +-2^53 already in that lane round to the nearest double).
+/// A driving engine then coerces every numeric lane onto the lane its
+/// relation schema declares (runtime::IngestValidator), so the generated
+/// on_batch_<R> handlers always scan the lanes they were compiled for.
 struct EventColumn {
   enum class Tag : uint8_t { kI64 = 0, kF64 = 1, kStr = 2 };
 
@@ -368,18 +373,63 @@ struct EventColumn {
   std::vector<double> f64;
   std::vector<std::string> str;
 
-  static Tag TagOf(const Value& v) {
-    if (std::holds_alternative<double>(v)) return Tag::kF64;
-    if (std::holds_alternative<std::string>(v)) return Tag::kStr;
-    return Tag::kI64;
+  size_t size() const {
+    switch (tag) {
+      case Tag::kF64: return f64.size();
+      case Tag::kStr: return str.size();
+      default: return i64.size();
+    }
   }
 
-  void push(const Value& v) {
+  /// Append one value. Each returns false, appending nothing, when a
+  /// number meets a string lane or a string meets a numeric lane.
+  bool push_i64(int64_t v) {
+    if (size() == 0) tag = Tag::kI64;
+    if (tag == Tag::kI64) i64.push_back(v);
+    if (tag == Tag::kF64) f64.push_back(static_cast<double>(v));
+    return tag != Tag::kStr;
+  }
+  bool push_f64(double v) {
+    if (size() == 0) tag = Tag::kF64;
+    retag(Tag::kF64);  // widens an int64 lane
+    if (tag == Tag::kStr) return false;
+    f64.push_back(v);
+    return true;
+  }
+  bool push_str(std::string v) {
+    if (size() == 0) tag = Tag::kStr;
+    if (tag != Tag::kStr) return false;
+    str.push_back(std::move(v));
+    return true;
+  }
+  bool push(const Value& v) {
+    if (const auto* d = std::get_if<double>(&v)) return push_f64(*d);
+    if (const auto* s = std::get_if<std::string>(&v)) return push_str(*s);
+    return push_i64(std::get<int64_t>(v));
+  }
+
+  /// The lane's zero: stands in for a value a malformed row did not supply.
+  void push_zero() {
     switch (tag) {
-      case Tag::kI64: i64.push_back(AsInt(v)); break;
-      case Tag::kF64: f64.push_back(AsDouble(v)); break;
-      case Tag::kStr: str.push_back(AsString(v)); break;
+      case Tag::kI64: i64.push_back(0); break;
+      case Tag::kF64: f64.push_back(0.0); break;
+      case Tag::kStr: str.emplace_back(); break;
     }
+  }
+
+  /// Move a numeric lane to the other numeric tag. kF64 -> kI64 truncates;
+  /// callers first prove every value IsExactInt. String lanes never move.
+  void retag(Tag to) {
+    if (to == tag || to == Tag::kStr || tag == Tag::kStr) return;
+    if (to == Tag::kF64) {
+      f64.assign(i64.begin(), i64.end());
+      i64 = {};
+    } else {
+      i64.reserve(f64.size());
+      for (double d : f64) i64.push_back(static_cast<int64_t>(d));
+      f64 = {};
+    }
+    tag = to;
   }
 
   Value get(size_t i) const {
@@ -391,11 +441,57 @@ struct EventColumn {
   }
 };
 
+/// True when `d` is an int64 exactly (integral and in range): the only
+/// doubles an int64 lane accepts.
+inline bool IsExactInt(double d) {
+  return d >= -0x1p63 && d < 0x1p63 && d == std::trunc(d);
+}
+
+/// The first malformed row appended to a batch group. A ragged row has a
+/// different arity than the group's first row; a mistyped row puts a
+/// string in a numeric lane or a number in a string lane. The row is
+/// stored anyway (truncated, or padded with the lane's zero) so every lane
+/// keeps exactly `rows` entries, and a driving engine's validator refuses
+/// the group by this record.
+struct RowDefect {
+  enum class Kind : uint8_t { kNone = 0, kRagged = 1, kMistyped = 2 };
+  Kind kind = Kind::kNone;
+  size_t row = 0;
+  size_t col = 0;  ///< ragged: first column past the shorter arity
+
+  void note(Kind k, size_t r, size_t c) {
+    if (kind != Kind::kNone) return;
+    kind = k;
+    row = r;
+    col = c;
+  }
+};
+
+/// Append a `width`-value tuple to a group's lanes, shared by the two
+/// batch types: `push(col, c)` appends value c and reports whether its kind
+/// fit the lane. The first row sets the group's arity.
+template <typename Push>
+void AppendRow(std::vector<EventColumn>& cols, size_t& rows,
+               RowDefect& defect, size_t width, Push&& push) {
+  if (rows == 0 && cols.empty()) {
+    cols.resize(width);
+  } else if (width != cols.size()) {
+    defect.note(RowDefect::Kind::kRagged, rows, std::min(width, cols.size()));
+  }
+  for (size_t c = 0; c < cols.size(); ++c) {
+    if (c < width && push(cols[c], c)) continue;
+    if (c < width) defect.note(RowDefect::Kind::kMistyped, rows, c);
+    cols[c].push_zero();
+  }
+  ++rows;
+}
+
 /// One batch of deltas at the dynamic boundary, grouped per (relation, op)
-/// in first-encounter order with columnar per-group storage. Mirrors
-/// runtime::EventBatch without depending on it (this header stays
-/// self-contained). The row-oriented add()/row() shim is the compatibility
-/// surface; generated handlers consume the columns natively.
+/// in first-encounter order with columnar per-group storage. The runtime's
+/// EventBatch holds the same EventColumn lanes, so a driving engine moves
+/// them across without touching rows (this header stays self-contained).
+/// The row-oriented add()/row() shim serves embedders; generated handlers
+/// consume the columns natively.
 class EventBatch {
  public:
   struct Group {
@@ -403,21 +499,11 @@ class EventBatch {
     bool is_insert = true;
     std::vector<EventColumn> cols;
     size_t rows = 0;
+    RowDefect defect;
 
     void add(const std::vector<Value>& tuple) {
-      if (cols.size() < tuple.size()) {
-        cols.resize(tuple.size());
-        for (size_t c = 0; c < tuple.size(); ++c) {
-          if (cols[c].i64.empty() && cols[c].f64.empty() &&
-              cols[c].str.empty()) {
-            cols[c].tag = EventColumn::TagOf(tuple[c]);
-          }
-        }
-      }
-      for (size_t c = 0; c < cols.size(); ++c) {
-        cols[c].push(c < tuple.size() ? tuple[c] : Value(int64_t{0}));
-      }
-      ++rows;
+      AppendRow(cols, rows, defect, tuple.size(),
+                [&](EventColumn& col, size_t c) { return col.push(tuple[c]); });
     }
 
     std::vector<Value> row(size_t i) const {
@@ -467,7 +553,7 @@ class EventBatch {
     for (Group& g : groups_) {
       if (g.is_insert == is_insert && g.relation == relation) return g;
     }
-    groups_.push_back(Group{relation, is_insert, {}, 0});
+    groups_.push_back(Group{relation, is_insert, {}, 0, {}});
     return groups_.back();
   }
 

@@ -18,16 +18,16 @@ void SerializeBatch(const EventBatch& batch, dbt::Ser* out) {
     out->u8(g.kind == EventKind::kInsert ? 0 : 1);
     out->u64(g.rows);
     out->u64(g.cols.size());
-    for (const EventColumn& c : g.cols) {
+    for (const dbt::EventColumn& c : g.cols) {
       out->u8(static_cast<uint8_t>(c.tag));
       switch (c.tag) {
-        case EventColumn::Tag::kI64:
+        case dbt::EventColumn::Tag::kI64:
           for (int64_t v : c.i64) out->i64(v);
           break;
-        case EventColumn::Tag::kF64:
+        case dbt::EventColumn::Tag::kF64:
           for (double v : c.f64) out->f64(v);
           break;
-        case EventColumn::Tag::kStr:
+        case dbt::EventColumn::Tag::kStr:
           for (const std::string& v : c.str) out->str(v);
           break;
       }
@@ -49,33 +49,39 @@ Status DeserializeBatch(dbt::Deser* in, EventBatch* out) {
     if (!in->ok() || kind_tag > 1 || ncols > in->remaining()) {
       return Status::ParseError("batch: corrupt group header");
     }
-    const EventKind kind =
-        kind_tag == 0 ? EventKind::kInsert : EventKind::kDelete;
-    // Decode typed lanes, then re-add row-wise: groups are unique per
-    // (relation, op), so Add() reassembles the identical batch.
-    std::vector<EventColumn> cols(static_cast<size_t>(ncols));
-    for (EventColumn& c : cols) {
+    // A row of a zero-column group carries no bytes, so nothing would
+    // bound its row count.
+    if (ncols == 0 && rows != 0) {
+      return Status::ParseError("batch: rows without columns");
+    }
+    // Decode the typed lanes straight into the group.
+    EventBatch::Group g(relation, kind_tag == 0 ? EventKind::kInsert
+                                                : EventKind::kDelete);
+    g.rows = static_cast<size_t>(rows);
+    g.cols.resize(static_cast<size_t>(ncols));
+    for (dbt::EventColumn& c : g.cols) {
       const uint8_t tag = in->u8();
       if (!in->ok() || tag > 2) {
         return Status::ParseError("batch: corrupt column tag");
       }
-      c.tag = static_cast<EventColumn::Tag>(tag);
+      c.tag = static_cast<dbt::EventColumn::Tag>(tag);
       switch (c.tag) {
-        case EventColumn::Tag::kI64:
-          if (rows * sizeof(int64_t) > in->remaining()) {
+        case dbt::EventColumn::Tag::kI64:
+          // Divide rather than multiply: rows * 8 wraps for a crafted count.
+          if (rows > in->remaining() / sizeof(int64_t)) {
             return Status::ParseError("batch: truncated i64 lane");
           }
           c.i64.reserve(static_cast<size_t>(rows));
           for (uint64_t i = 0; i < rows; ++i) c.i64.push_back(in->i64());
           break;
-        case EventColumn::Tag::kF64:
-          if (rows * sizeof(double) > in->remaining()) {
+        case dbt::EventColumn::Tag::kF64:
+          if (rows > in->remaining() / sizeof(double)) {
             return Status::ParseError("batch: truncated f64 lane");
           }
           c.f64.reserve(static_cast<size_t>(rows));
           for (uint64_t i = 0; i < rows; ++i) c.f64.push_back(in->f64());
           break;
-        case EventColumn::Tag::kStr:
+        case dbt::EventColumn::Tag::kStr:
           for (uint64_t i = 0; i < rows && in->ok(); ++i) {
             c.str.push_back(in->str());
           }
@@ -83,14 +89,7 @@ Status DeserializeBatch(dbt::Deser* in, EventBatch* out) {
       }
       if (!in->ok()) return Status::ParseError("batch: truncated lane");
     }
-    for (uint64_t i = 0; i < rows; ++i) {
-      Row row;
-      row.reserve(cols.size());
-      for (const EventColumn& c : cols) {
-        row.push_back(c.Get(static_cast<size_t>(i)));
-      }
-      out->Add(kind, relation, std::move(row));
-    }
+    if (g.rows > 0) out->AddGroup(std::move(g));
   }
   return Status::OK();
 }

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <set>
 
-#include "src/codegen/dbt_select.h"
 #include "src/common/str.h"
 #include "src/compiler/tir_verify.h"
 
@@ -462,18 +461,6 @@ Status Engine::FlushDeferredReevals(DeferredReevals* deferred) {
   return Status::OK();
 }
 
-Status Engine::CheckGroupArity(const tir::Trigger& trigger, const Row* tuples,
-                               size_t count) const {
-  for (size_t e = 0; e < count; ++e) {
-    if (trigger.params.size() != tuples[e].size()) {
-      return Status::InvalidArgument(StrFormat(
-          "event arity %zu does not match trigger %s", tuples[e].size(),
-          trigger.signature.c_str()));
-    }
-  }
-  return Status::OK();
-}
-
 std::vector<ProfileStats::StatementStats*> Engine::ResolveStats(
     const tir::Trigger& trigger) {
   std::vector<ProfileStats::StatementStats*> stats(trigger.stmts.size());
@@ -498,11 +485,6 @@ Status Engine::ApplyGroupSequential(const tir::Trigger& trigger,
     const Row& tuple = tuples[e];
     if (trace_ != nullptr) {
       trace_->OnEvent(Event{kind, trigger.relation, tuple});
-    }
-    if (trigger.params.size() != tuple.size()) {
-      return Status::InvalidArgument(
-          StrFormat("event arity %zu does not match trigger %s", tuple.size(),
-                    trigger.signature.c_str()));
     }
     for (size_t i = 0; i < trigger.params.size(); ++i) {
       env[trigger.params[i].name] = tuple[i];
@@ -575,7 +557,6 @@ Status Engine::ApplyGroupSequential(const tir::Trigger& trigger,
 Status Engine::ApplyGroupVectorized(const tir::Trigger& trigger,
                                     EventKind kind, const Row* tuples,
                                     size_t count, DeferredReevals* deferred) {
-  DBT_RETURN_IF_ERROR(CheckGroupArity(trigger, tuples, count));
   std::vector<ProfileStats::StatementStats*> stats = ResolveStats(trigger);
   const int sign = kind == EventKind::kInsert ? +1 : -1;
 
@@ -601,10 +582,8 @@ Status Engine::ApplyGroupVectorized(const tir::Trigger& trigger,
   }
   std::vector<uint32_t> all(count);
   for (size_t e = 0; e < count; ++e) all[e] = static_cast<uint32_t>(e);
-  const bool use_sel = dbt::SelectionEnabled();
   SelectionClasses classes(deltas);
-  std::vector<std::vector<uint32_t>> sel;
-  if (use_sel) sel = classes.Select(tuples, all);
+  const std::vector<std::vector<uint32_t>> sel = classes.Select(tuples, all);
 
   for (size_t d = 0; d < deltas.size(); ++d) {
     const tir::Stmt& s = *deltas[d];
@@ -612,7 +591,7 @@ Status Engine::ApplyGroupVectorized(const tir::Trigger& trigger,
     uint64_t t0 = NowNanos();
     size_t before = pending_.size();
     const std::vector<uint32_t>& rows =
-        use_sel && classes.cls[d] != SIZE_MAX ? sel[classes.cls[d]] : all;
+        classes.cls[d] != SIZE_MAX ? sel[classes.cls[d]] : all;
     for (uint32_t e : rows) {
       for (size_t i = 0; i < trigger.params.size(); ++i) {
         env[trigger.params[i].name] = tuples[e][i];
@@ -663,7 +642,6 @@ Status Engine::ApplyGroupVectorized(const tir::Trigger& trigger,
 Status Engine::ApplyGroupSharded(const tir::Trigger& trigger, EventKind kind,
                                  const Row* tuples, size_t count,
                                  DeferredReevals* deferred) {
-  DBT_RETURN_IF_ERROR(CheckGroupArity(trigger, tuples, count));
   std::vector<ProfileStats::StatementStats*> stats = ResolveStats(trigger);
   const int sign = kind == EventKind::kInsert ? +1 : -1;
 
@@ -696,7 +674,6 @@ Status Engine::ApplyGroupSharded(const tir::Trigger& trigger, EventKind kind,
     out.nanos.assign(delta_stmts.size(), 0);
   }
 
-  const bool use_sel = dbt::SelectionEnabled();
   const SelectionClasses classes(deltas);
   parallel_region_ = true;
   shard_pool().RunShards(kNumShards, [&](size_t s) {
@@ -706,13 +683,13 @@ Status Engine::ApplyGroupSharded(const tir::Trigger& trigger, EventKind kind,
     // Selection runs after the shard split: guards filter this worker's
     // private sub-range only, so per-shard work (and therefore the merged
     // state) is independent of the pool's thread count.
-    std::vector<std::vector<uint32_t>> sel;
-    if (use_sel) sel = classes.Select(tuples, plan.shards[s]);
+    const std::vector<std::vector<uint32_t>> sel =
+        classes.Select(tuples, plan.shards[s]);
     for (size_t d = 0; d < delta_stmts.size(); ++d) {
       const Statement& stmt = trigger.stmts[delta_stmts[d]].stmt;
-      const std::vector<uint32_t>& rows =
-          use_sel && classes.cls[d] != SIZE_MAX ? sel[classes.cls[d]]
-                                                : plan.shards[s];
+      const std::vector<uint32_t>& rows = classes.cls[d] != SIZE_MAX
+                                              ? sel[classes.cls[d]]
+                                              : plan.shards[s];
       const uint64_t t0 = NowNanos();
       for (uint32_t i : rows) {
         const Row& tuple = tuples[i];
@@ -829,9 +806,9 @@ Status Engine::ApplyGroup(const std::string& relation, EventKind kind,
 Status Engine::DoApplyBatch(EventBatch&& batch) {
   DeferredReevals deferred;
   for (const EventBatch::Group& g : batch.groups()) {
+    const std::vector<Row> rows = g.Rows();
     DBT_RETURN_IF_ERROR(
-        ApplyGroup(g.relation, g.kind, g.rows_view().data(), g.rows,
-                   &deferred));
+        ApplyGroup(g.relation, g.kind, rows.data(), g.rows, &deferred));
   }
   return FlushDeferredReevals(&deferred);
 }

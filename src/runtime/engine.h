@@ -150,10 +150,6 @@ class Engine : public StreamEngine, public MapStore {
     return true;
   }
 
-  /// Whole-group arity validation (the batch paths check up front; the
-  /// sequential path validates per event so trace callbacks keep order).
-  Status CheckGroupArity(const tir::Trigger& trigger, const Row* tuples,
-                         size_t count) const;
   /// Resolve each statement's profiler slot once per group (std::map nodes
   /// are stable, so the pointers stay valid for the group's lifetime).
   std::vector<ProfileStats::StatementStats*> ResolveStats(

@@ -25,6 +25,29 @@ ShardPlan ShardPlan::Partition(const Row* tuples, size_t count,
   return plan;
 }
 
+void EventBatch::Group::Add(const Row& tuple) {
+  dbt::AppendRow(cols, rows, defect, tuple.size(),
+                 [&](dbt::EventColumn& col, size_t c) {
+                   const Value& v = tuple[c];
+                   if (v.is_string()) return col.push_str(v.AsString());
+                   if (v.is_double()) return col.push_f64(v.AsDouble());
+                   return col.push_i64(v.AsInt());
+                 });
+}
+
+Row EventBatch::Group::RowAt(size_t i) const {
+  Row out;
+  out.reserve(cols.size());
+  for (const dbt::EventColumn& c : cols) {
+    switch (c.tag) {
+      case dbt::EventColumn::Tag::kF64: out.emplace_back(c.f64[i]); break;
+      case dbt::EventColumn::Tag::kStr: out.emplace_back(c.str[i]); break;
+      case dbt::EventColumn::Tag::kI64: out.emplace_back(c.i64[i]); break;
+    }
+  }
+  return out;
+}
+
 EventBatch EventBatch::Of(const Event& event) {
   EventBatch batch;
   batch.Add(event.kind, event.relation, event.tuple);
@@ -51,6 +74,18 @@ void EventBatch::Add(EventKind kind, const std::string& relation, Row tuple) {
   groups_.emplace_back(relation, kind);
   groups_.back().Add(tuple);
   ++events_;
+}
+
+void EventBatch::AddGroup(Group&& group) {
+  for (Group& g : groups_) {
+    if (g.kind == group.kind && g.relation == group.relation) {
+      for (size_t i = 0; i < group.rows; ++i) g.Add(group.RowAt(i));
+      events_ += group.rows;
+      return;
+    }
+  }
+  events_ += group.rows;
+  groups_.push_back(std::move(group));
 }
 
 // ---- dynamic value serde ------------------------------------------------
@@ -102,40 +137,89 @@ bool ReadRow(dbt::Deser& in, Row* row) {
 
 namespace {
 
-const char* TagName(EventColumn::Tag t) {
+using Tag = dbt::EventColumn::Tag;
+
+const char* TagName(Tag t) {
   switch (t) {
-    case EventColumn::Tag::kF64: return "f64";
-    case EventColumn::Tag::kStr: return "str";
+    case Tag::kF64: return "f64";
+    case Tag::kStr: return "str";
     default: return "i64";
   }
 }
 
-EventColumn::Tag TagOfType(Type t) {
+Tag TagOfType(Type t) {
   switch (t) {
-    case Type::kString: return EventColumn::Tag::kStr;
-    case Type::kDouble: return EventColumn::Tag::kF64;
-    default: return EventColumn::Tag::kI64;  // ints and dates ride i64 lanes
+    case Type::kString: return Tag::kStr;
+    case Type::kDouble: return Tag::kF64;
+    default: return Tag::kI64;  // ints and dates ride i64 lanes
   }
 }
 
-/// String lanes and numeric lanes never mix; the two numeric lanes do
-/// (dates and widened ints legally feed double columns via promotion).
-bool LaneCompatible(EventColumn::Tag want, EventColumn::Tag got) {
-  const bool want_str = want == EventColumn::Tag::kStr;
-  const bool got_str = got == EventColumn::Tag::kStr;
-  return want_str == got_str;
+Tag TagOfValue(const Value& v) {
+  if (v.is_string()) return Tag::kStr;
+  return v.is_double() ? Tag::kF64 : Tag::kI64;
+}
+
+/// String lanes and numeric lanes never mix; the two numeric lanes do, and
+/// coercion moves them onto the schema's.
+Status CheckLane(const std::string& relation, size_t col, Tag want, Tag got) {
+  if ((want == Tag::kStr) == (got == Tag::kStr)) return Status::OK();
+  return Status::TypeError(
+      StrFormat("ingest: relation '%s' column %zu expects %s lane, got %s",
+                relation.c_str(), col, TagName(want), TagName(got)));
+}
+
+/// A relation with no registered schema (`lanes` null), or one of another
+/// arity.
+Status ShapeError(const std::string& relation,
+                  const IngestValidator::Lanes* lanes, size_t arity) {
+  if (lanes == nullptr) {
+    return Status::NotFound(
+        StrFormat("ingest: unknown relation '%s'", relation.c_str()));
+  }
+  return Status::InvalidArgument(
+      StrFormat("ingest: relation '%s' expects arity %zu, got %zu",
+                relation.c_str(), lanes->size(), arity));
+}
+
+Status NotExactInt(const std::string& relation, size_t col, size_t row,
+                   double v) {
+  return Status::TypeError(StrFormat(
+      "ingest: relation '%s' column %zu row %zu: %.17g is not an exact "
+      "integer for an i64 column",
+      relation.c_str(), col, row, v));
+}
+
+/// Ragged and mistyped rows recorded when the group was built.
+Status CheckDefect(const EventBatch::Group& g) {
+  const dbt::RowDefect& d = g.defect;
+  switch (d.kind) {
+    case dbt::RowDefect::Kind::kNone:
+      return Status::OK();
+    case dbt::RowDefect::Kind::kRagged:
+      return Status::InvalidArgument(StrFormat(
+          "ingest: relation '%s' row %zu is ragged: its arity differs from "
+          "row 0's (%zu columns) at column %zu",
+          g.relation.c_str(), d.row, g.cols.size(), d.col));
+    case dbt::RowDefect::Kind::kMistyped:
+      break;
+  }
+  const bool str_lane = g.cols[d.col].tag == Tag::kStr;
+  return Status::TypeError(StrFormat(
+      "ingest: relation '%s' column %zu row %zu carries a %s in a %s column",
+      g.relation.c_str(), d.col, d.row, str_lane ? "number" : "string",
+      str_lane ? "string" : "numeric"));
 }
 
 }  // namespace
 
-void IngestValidator::Register(const std::string& relation,
-                               std::vector<EventColumn::Tag> lanes) {
+void IngestValidator::Register(const std::string& relation, Lanes lanes) {
   schemas_[ToUpper(relation)] = std::move(lanes);
 }
 
 void IngestValidator::RegisterCatalog(const Catalog& catalog) {
   for (const Schema& schema : catalog.relations()) {
-    std::vector<EventColumn::Tag> lanes;
+    Lanes lanes;
     lanes.reserve(schema.num_columns());
     for (const auto& [col, type] : schema.columns()) {
       (void)col;
@@ -145,62 +229,74 @@ void IngestValidator::RegisterCatalog(const Catalog& catalog) {
   }
 }
 
-const std::vector<EventColumn::Tag>* IngestValidator::Find(
+const IngestValidator::Lanes* IngestValidator::Find(
     const std::string& relation) const {
   auto it = schemas_.find(ToUpper(relation));
   return it == schemas_.end() ? nullptr : &it->second;
 }
 
 Status IngestValidator::ValidateBatch(const EventBatch& batch) const {
-  if (schemas_.empty()) return Status::OK();
   for (const EventBatch::Group& g : batch.groups()) {
     if (g.rows == 0) continue;
-    const std::vector<EventColumn::Tag>* lanes = Find(g.relation);
-    if (lanes == nullptr) {
-      return Status::NotFound(
-          StrFormat("ingest: unknown relation '%s'", g.relation.c_str()));
-    }
-    if (g.cols.size() != lanes->size()) {
-      return Status::InvalidArgument(StrFormat(
-          "ingest: relation '%s' expects arity %zu, batch group has %zu "
-          "columns",
-          g.relation.c_str(), lanes->size(), g.cols.size()));
+    DBT_RETURN_IF_ERROR(CheckDefect(g));
+    if (schemas_.empty()) continue;
+    const Lanes* lanes = Find(g.relation);
+    if (lanes == nullptr || lanes->size() != g.cols.size()) {
+      return ShapeError(g.relation, lanes, g.cols.size());
     }
     for (size_t c = 0; c < g.cols.size(); ++c) {
-      if (!LaneCompatible((*lanes)[c], g.cols[c].tag)) {
-        return Status::TypeError(StrFormat(
-            "ingest: relation '%s' column %zu expects %s lane, batch "
-            "carries %s",
-            g.relation.c_str(), c, TagName((*lanes)[c]),
-            TagName(g.cols[c].tag)));
+      const dbt::EventColumn& col = g.cols[c];
+      DBT_RETURN_IF_ERROR(CheckLane(g.relation, c, (*lanes)[c], col.tag));
+      if ((*lanes)[c] != Tag::kI64 || col.tag != Tag::kF64) continue;
+      for (size_t r = 0; r < col.f64.size(); ++r) {
+        if (!dbt::IsExactInt(col.f64[r])) {
+          return NotExactInt(g.relation, c, r, col.f64[r]);
+        }
       }
     }
   }
   return Status::OK();
 }
 
-Status IngestValidator::ValidateEvent(const Event& event) const {
+Status IngestValidator::ValidateEvent(const Event& event,
+                                      bool* needs_coercion) const {
   if (schemas_.empty()) return Status::OK();
-  const std::vector<EventColumn::Tag>* lanes = Find(event.relation);
-  if (lanes == nullptr) {
-    return Status::NotFound(
-        StrFormat("ingest: unknown relation '%s'", event.relation.c_str()));
+  const Lanes* lanes = Find(event.relation);
+  if (lanes == nullptr || lanes->size() != event.tuple.size()) {
+    return ShapeError(event.relation, lanes, event.tuple.size());
   }
-  if (event.tuple.size() != lanes->size()) {
-    return Status::InvalidArgument(StrFormat(
-        "ingest: relation '%s' expects arity %zu, event tuple has %zu",
-        event.relation.c_str(), lanes->size(), event.tuple.size()));
-  }
-  for (size_t c = 0; c < event.tuple.size(); ++c) {
-    const EventColumn::Tag got = EventColumn::TagOf(event.tuple[c]);
-    if (!LaneCompatible((*lanes)[c], got)) {
-      return Status::TypeError(StrFormat(
-          "ingest: relation '%s' column %zu expects %s lane, event "
-          "carries %s",
-          event.relation.c_str(), c, TagName((*lanes)[c]), TagName(got)));
+  for (size_t c = 0; c < lanes->size(); ++c) {
+    const Value& v = event.tuple[c];
+    const Tag got = TagOfValue(v);
+    if (got == (*lanes)[c]) continue;
+    DBT_RETURN_IF_ERROR(CheckLane(event.relation, c, (*lanes)[c], got));
+    if (got == Tag::kF64 && !dbt::IsExactInt(v.AsDouble())) {
+      return NotExactInt(event.relation, c, 0, v.AsDouble());
     }
+    if (needs_coercion != nullptr) *needs_coercion = true;
   }
   return Status::OK();
+}
+
+void IngestValidator::CoerceBatch(EventBatch* batch) const {
+  if (schemas_.empty()) return;
+  for (EventBatch::Group& g : batch->groups()) {
+    const Lanes* lanes = Find(g.relation);
+    if (lanes == nullptr || lanes->size() != g.cols.size()) continue;
+    for (size_t c = 0; c < g.cols.size(); ++c) {
+      g.cols[c].retag((*lanes)[c]);
+    }
+  }
+}
+
+void IngestValidator::CoerceEvent(Event* event) const {
+  const Lanes* lanes = Find(event->relation);
+  if (lanes == nullptr || lanes->size() != event->tuple.size()) return;
+  for (size_t c = 0; c < event->tuple.size(); ++c) {
+    Value& v = event->tuple[c];
+    if ((*lanes)[c] == Tag::kF64 && v.is_int()) v = Value(v.AsDouble());
+    if ((*lanes)[c] == Tag::kI64 && v.is_double()) v = Value(v.AsInt());
+  }
 }
 
 // ---- concurrent view serving ----------------------------------------------
@@ -440,6 +536,7 @@ Status StreamEngine::PublishSnapshot() {
 
 Status StreamEngine::ApplyBatch(EventBatch&& batch) {
   DBT_RETURN_IF_ERROR(validator_.ValidateBatch(batch));
+  validator_.CoerceBatch(&batch);
   DBT_RETURN_IF_ERROR(DoApplyBatch(std::move(batch)));
   ++epoch_;
   if (serving_enabled_.load(std::memory_order_relaxed)) {
@@ -449,13 +546,24 @@ Status StreamEngine::ApplyBatch(EventBatch&& batch) {
 }
 
 Status StreamEngine::OnEvent(const Event& event) {
-  DBT_RETURN_IF_ERROR(validator_.ValidateEvent(event));
-  DBT_RETURN_IF_ERROR(DoOnEvent(event));
+  bool needs_coercion = false;
+  DBT_RETURN_IF_ERROR(validator_.ValidateEvent(event, &needs_coercion));
+  if (needs_coercion) [[unlikely]] {
+    DBT_RETURN_IF_ERROR(OnCoercedEvent(event));
+  } else {
+    DBT_RETURN_IF_ERROR(DoOnEvent(event));
+  }
   ++epoch_;
   if (serving_enabled_.load(std::memory_order_relaxed)) {
     DBT_RETURN_IF_ERROR(PublishSnapshot());
   }
   return Status::OK();
+}
+
+Status StreamEngine::OnCoercedEvent(const Event& event) {
+  Event typed = event;
+  validator_.CoerceEvent(&typed);
+  return DoOnEvent(typed);
 }
 
 Result<Value> StreamEngine::ViewScalar(const std::string& name) {
@@ -607,28 +715,17 @@ Value FromDbtValue(const dbt::Value& v) {
   return Value(std::get<int64_t>(v));
 }
 
-EventColumn::Tag FromDbtTag(dbt::EventColumn::Tag t) {
-  switch (t) {
-    case dbt::EventColumn::Tag::kF64: return EventColumn::Tag::kF64;
-    case dbt::EventColumn::Tag::kStr: return EventColumn::Tag::kStr;
-    default: return EventColumn::Tag::kI64;
-  }
-}
-
 }  // namespace
 
 CompiledProgramEngine::CompiledProgramEngine(dbt::StreamProgram* program,
-                                             std::string name, BatchPath path)
-    : program_(program), name_(std::move(name)), path_(path) {
+                                             std::string name)
+    : program_(program), name_(std::move(name)) {
   // Generated programs publish the catalog's relation layouts; arm the
-  // boundary validator with them so malformed batches are rejected before
-  // the typed handlers. Programs predating schema emission publish none
-  // and keep the permissive boundary.
+  // boundary validator with them so malformed batches are rejected and
+  // numeric lanes coerced before the typed handlers. Programs predating
+  // schema emission publish none and keep the permissive boundary.
   for (const dbt::RelationSchema& rs : program_->relation_schemas()) {
-    std::vector<EventColumn::Tag> lanes;
-    lanes.reserve(rs.lanes.size());
-    for (dbt::EventColumn::Tag t : rs.lanes) lanes.push_back(FromDbtTag(t));
-    RegisterIngestSchema(rs.name, std::move(lanes));
+    RegisterIngestSchema(rs.name, rs.lanes);
   }
 }
 
@@ -637,44 +734,15 @@ size_t CompiledProgramEngine::StateBytes() const {
 }
 
 Status CompiledProgramEngine::DoApplyBatch(EventBatch&& batch) {
-  if (path_ == BatchPath::kRow) {
-    // Reference path: per-event string dispatch through the row shim,
-    // exercised by the differential harness and the row-vs-columnar bench.
-    for (const EventBatch::Group& g : batch.groups()) {
-      for (size_t i = 0; i < g.rows; ++i) {
-        program_->on_event(g.relation, g.kind == EventKind::kInsert,
-                           ToDbtValues(g.RowAt(i)));
-      }
-    }
-    return Status::OK();
-  }
-  // Columnar path: the typed column storage moves across the boundary
-  // unchanged (tags align by construction), no per-row Value conversion.
+  // The typed lanes move across the boundary whole, already on the lanes
+  // the generated handlers were compiled for (the wrapper coerced them).
   dbt::EventBatch out;
   for (EventBatch::Group& g : batch.groups()) {
     dbt::EventBatch::Group og;
-    og.relation = g.relation;
+    og.relation = std::move(g.relation);
     og.is_insert = g.kind == EventKind::kInsert;
     og.rows = g.rows;
-    og.cols.resize(g.cols.size());
-    for (size_t c = 0; c < g.cols.size(); ++c) {
-      EventColumn& in = g.cols[c];
-      dbt::EventColumn& col = og.cols[c];
-      switch (in.tag) {
-        case EventColumn::Tag::kI64:
-          col.tag = dbt::EventColumn::Tag::kI64;
-          col.i64 = std::move(in.i64);
-          break;
-        case EventColumn::Tag::kF64:
-          col.tag = dbt::EventColumn::Tag::kF64;
-          col.f64 = std::move(in.f64);
-          break;
-        case EventColumn::Tag::kStr:
-          col.tag = dbt::EventColumn::Tag::kStr;
-          col.str = std::move(in.str);
-          break;
-      }
-    }
+    og.cols = std::move(g.cols);
     out.add_group(std::move(og));
   }
   program_->on_batch(out);

@@ -18,10 +18,10 @@
 // The ingest boundary is treated as untrusted: ApplyBatch and OnEvent are
 // non-virtual wrappers that validate relation names, arity and lane types
 // against the engine's registered schemas (returning a structured Status —
-// never UB or a silent skip) before handing the batch to the engine's
-// DoApplyBatch, and count successfully applied calls as the engine's epoch
-// (the exactly-once cursor of the batch-log recovery protocol, see
-// src/runtime/batch_log.h).
+// never UB or a silent skip), coerce each numeric column onto the lane its
+// schema declares, hand the batch to the engine's DoApplyBatch, and count
+// successfully applied calls as the engine's epoch (the exactly-once cursor
+// of the batch-log recovery protocol, see src/runtime/batch_log.h).
 #ifndef DBTOASTER_RUNTIME_STREAM_ENGINE_H_
 #define DBTOASTER_RUNTIME_STREAM_ENGINE_H_
 
@@ -35,16 +35,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/codegen/dbt_flat_map.h"
-#include "src/codegen/dbt_serialize.h"
-#include "src/codegen/dbt_shard_pool.h"
+#include "src/codegen/dbtoaster_runtime.h"
 #include "src/common/status.h"
 #include "src/exec/executor.h"
 #include "src/storage/table.h"
-
-namespace dbt {
-class StreamProgram;  // src/codegen/dbtoaster_runtime.h (self-contained)
-}  // namespace dbt
 
 namespace dbtoaster::runtime {
 
@@ -68,94 +62,39 @@ struct ShardPlan {
                              const std::vector<size_t>& partition_cols);
 };
 
-/// One typed column of a batch group: int64 (also carrying dates as days
-/// since epoch), double, or string, fixed by the first appended value and
-/// coerced thereafter. Mirrors dbt::EventColumn so the compiled path can
-/// move column storage across the boundary without touching rows.
-struct EventColumn {
-  enum class Tag : uint8_t { kI64 = 0, kF64 = 1, kStr = 2 };
-
-  Tag tag = Tag::kI64;
-  std::vector<int64_t> i64;
-  std::vector<double> f64;
-  std::vector<std::string> str;
-
-  static Tag TagOf(const Value& v) {
-    if (v.is_double()) return Tag::kF64;
-    if (v.is_string()) return Tag::kStr;
-    return Tag::kI64;
-  }
-
-  void Push(const Value& v) {
-    switch (tag) {
-      case Tag::kI64: i64.push_back(v.AsInt()); break;
-      case Tag::kF64: f64.push_back(v.AsDouble()); break;
-      case Tag::kStr: str.push_back(v.AsString()); break;
-    }
-  }
-
-  Value Get(size_t i) const {
-    switch (tag) {
-      case Tag::kF64: return Value(f64[i]);
-      case Tag::kStr: return Value(str[i]);
-      default: return Value(i64[i]);
-    }
-  }
-};
-
 /// One batch of deltas, grouped per (relation, op) with per-group typed
 /// column storage: the columnar unit all engines ingest. Groups keep
-/// first-encounter order. Interpreted engines that want whole tuples use
-/// the rows() shim, which materializes (and caches) the row view.
+/// first-encounter order. A group's lanes are dbt::EventColumn, the type the
+/// generated handlers scan, so the compiled path moves them across the
+/// boundary whole. Interpreted engines that want whole tuples use Rows().
 class EventBatch {
  public:
   struct Group {
     std::string relation;
     EventKind kind = EventKind::kInsert;
-    std::vector<EventColumn> cols;
+    std::vector<dbt::EventColumn> cols;
     size_t rows = 0;
+    /// First ragged or mistyped row added (see dbt::RowDefect); the ingest
+    /// validator refuses a group that has one.
+    dbt::RowDefect defect;
 
     Group() = default;
     Group(std::string rel, EventKind k)
         : relation(std::move(rel)), kind(k) {}
 
     /// Append one tuple, splitting it across the typed columns.
-    void Add(const Row& tuple) {
-      if (cols.size() < tuple.size()) {
-        const size_t old = cols.size();
-        cols.resize(tuple.size());
-        for (size_t c = old; c < tuple.size(); ++c) {
-          cols[c].tag = EventColumn::TagOf(tuple[c]);
-        }
-      }
-      for (size_t c = 0; c < cols.size(); ++c) {
-        cols[c].Push(c < tuple.size() ? tuple[c] : Value(int64_t{0}));
-      }
-      ++rows;
-      row_cache_.clear();
-    }
+    void Add(const Row& tuple);
 
     /// Reassemble tuple `i` from the columns.
-    Row RowAt(size_t i) const {
-      Row out;
-      out.reserve(cols.size());
-      for (const EventColumn& c : cols) out.push_back(c.Get(i));
+    Row RowAt(size_t i) const;
+
+    /// Every tuple of the group, for engines that bind whole rows.
+    std::vector<Row> Rows() const {
+      std::vector<Row> out;
+      out.reserve(rows);
+      for (size_t i = 0; i < rows; ++i) out.push_back(RowAt(i));
       return out;
     }
-
-    /// Row-shim view of the whole group, materialized on first use and
-    /// cached (engines call it once per group, on the driver thread).
-    const std::vector<Row>& rows_view() const {
-      if (row_cache_.size() != rows) {
-        row_cache_.clear();
-        row_cache_.reserve(rows);
-        for (size_t i = 0; i < rows; ++i) row_cache_.push_back(RowAt(i));
-      }
-      return row_cache_;
-    }
-
-   private:
-    mutable std::vector<Row> row_cache_;
   };
 
   EventBatch() = default;
@@ -174,6 +113,10 @@ class EventBatch {
   void AddDelete(const std::string& relation, Row tuple) {
     Add(EventKind::kDelete, relation, std::move(tuple));
   }
+
+  /// Append a whole columnar group (the batch-log decoder's path); a group
+  /// for the same (relation, op) already present absorbs its rows instead.
+  void AddGroup(Group&& group);
 
   const std::vector<Group>& groups() const { return groups_; }
   std::vector<Group>& groups() { return groups_; }
@@ -205,31 +148,51 @@ bool ReadRow(dbt::Deser& in, Row* row);
 /// Boundary validation of untrusted batches against registered relation
 /// schemas. An engine registers the lane layout of every relation it is
 /// willing to ingest (from its catalog, or from a generated program's
-/// published schemas); Validate then rejects, with relation and column
-/// context:
-///   - unknown relations               -> kNotFound
-///   - group arity != schema arity     -> kInvalidArgument
-///   - string lane where the schema has a numeric column (or vice versa)
-///                                     -> kTypeError
-/// Numeric lanes are interchangeable (kI64 carries dates and widened ints;
-/// engines promote), so only string/numeric confusion — the one shape the
-/// typed handlers cannot absorb — is a type error. A validator with no
-/// registered schemas passes everything through (opt-in hardening).
+/// published schemas); validation then rejects, naming the relation and,
+/// where one is at fault, the column and row:
+///   - a ragged group (rows of differing arity)   -> kInvalidArgument
+///   - a mistyped group (a string among numbers,
+///     or a number among strings, in one column)  -> kTypeError
+///   - unknown relations                           -> kNotFound
+///   - group arity != schema arity                 -> kInvalidArgument
+///   - string lane where the schema has a numeric
+///     column, or vice versa                       -> kTypeError
+///   - a double that is not an exact int64 aimed
+///     at an INT or DATE column                    -> kTypeError
+/// Ragged and mistyped groups are refused even with no schema registered;
+/// otherwise a validator with no registered schemas passes everything
+/// through (opt-in hardening).
+///
+/// The schema alone fixes each column's lane. Numeric lanes that arrive as
+/// the other numeric type pass validation, and the Coerce* step the ingest
+/// wrappers run next moves them onto the schema's lane (i64 <-> f64), so
+/// every engine sees the same typed values whatever the feed sent.
 class IngestValidator {
  public:
-  void Register(const std::string& relation,
-                std::vector<EventColumn::Tag> lanes);
+  using Lanes = std::vector<dbt::EventColumn::Tag>;
+
+  void Register(const std::string& relation, Lanes lanes);
   void RegisterCatalog(const Catalog& catalog);
   bool empty() const { return schemas_.empty(); }
 
   Status ValidateBatch(const EventBatch& batch) const;
-  Status ValidateEvent(const Event& event) const;
+  Status ValidateEvent(const Event& event) const {
+    return ValidateEvent(event, nullptr);
+  }
+  /// As above; also sets *needs_coercion when a numeric value's lane
+  /// differs from its column's.
+  Status ValidateEvent(const Event& event, bool* needs_coercion) const;
+
+  /// Move every numeric lane of a validated batch / event onto the lane
+  /// its schema declares.
+  void CoerceBatch(EventBatch* batch) const;
+  void CoerceEvent(Event* event) const;
 
  private:
-  const std::vector<EventColumn::Tag>* Find(const std::string& relation) const;
+  const Lanes* Find(const std::string& relation) const;
 
   /// Keyed by upper-cased relation name (catalog semantics).
-  std::map<std::string, std::vector<EventColumn::Tag>> schemas_;
+  std::map<std::string, Lanes> schemas_;
 };
 
 // ---- concurrent view serving --------------------------------------------
@@ -366,7 +329,8 @@ class StreamEngine {
   Status ApplyBatch(EventBatch&& batch);
 
   /// One-element convenience; engines may override DoOnEvent with a leaner
-  /// path than the one-element-batch default.
+  /// path than the one-element-batch default. The event is copied only
+  /// when a numeric value needs coercion onto its column's lane.
   Status OnEvent(const Event& event);
 
   Status OnInsert(const std::string& relation, Row tuple) {
@@ -440,7 +404,8 @@ class StreamEngine {
   const IngestValidator& ingest_validator() const { return validator_; }
 
  protected:
-  /// Engine-specific batch ingestion; input has passed boundary validation.
+  /// Engine-specific batch ingestion; input has passed boundary validation
+  /// and its numeric lanes match the registered schemas.
   virtual Status DoApplyBatch(EventBatch&& batch) = 0;
   virtual Status DoOnEvent(const Event& event) {
     return DoApplyBatch(EventBatch::Of(event));
@@ -459,11 +424,15 @@ class StreamEngine {
     validator_.RegisterCatalog(catalog);
   }
   void RegisterIngestSchema(const std::string& relation,
-                            std::vector<EventColumn::Tag> lanes) {
+                            IngestValidator::Lanes lanes) {
     validator_.Register(relation, std::move(lanes));
   }
 
  private:
+  /// DoOnEvent on a copy of `event` moved onto its schema's lanes; kept out
+  /// of line so the correctly typed OnEvent path carries no copy.
+  [[gnu::noinline]] Status OnCoercedEvent(const Event& event);
+
   /// Render, diff against the previous rendering, and publish the new
   /// snapshot + per-epoch delta (writer thread, after a successful ingest).
   Status PublishSnapshot();
@@ -525,15 +494,8 @@ class UpsertNormalizer {
 /// dispatcher's behaviour.
 class CompiledProgramEngine final : public StreamEngine {
  public:
-  /// How batches cross the boundary into the generated program.
-  enum class BatchPath {
-    kColumnar,  ///< move typed columns straight into dbt::EventBatch groups
-    kRow,       ///< replay through the per-event row shim (reference path)
-  };
-
   explicit CompiledProgramEngine(dbt::StreamProgram* program,
-                                 std::string name = "toaster-c",
-                                 BatchPath path = BatchPath::kColumnar);
+                                 std::string name = "toaster-c");
 
   std::string Name() const override { return name_; }
   Result<exec::QueryResult> View(const std::string& name) override;
@@ -557,7 +519,6 @@ class CompiledProgramEngine final : public StreamEngine {
  private:
   dbt::StreamProgram* program_;
   std::string name_;
-  BatchPath path_;
 };
 
 }  // namespace dbtoaster::runtime

@@ -8,10 +8,12 @@
 // dbt::kShardBatchCutoff so both the sequential and the sharded ApplyBatch
 // paths are exercised.
 //
-// For bench queries the generated program runs twice: once through the
-// native columnar batch path and once through the per-event row shim
-// (toaster-c-row), and the two views must match byte for byte — same code,
-// same arrival order, so not even float tolerance applies.
+// For bench queries the generated program runs twice: once batched through
+// the columnar on_batch_<R> handlers and once event by event through
+// OnEvent, the per-row on_<R> path (toaster-c-event). The per-event copy
+// replays each batch in its group order, so both see the same events in
+// the same order and their views must match byte for byte — not even
+// float tolerance applies.
 //
 // Engines that reject a query (ivm1 on LEFT JOIN, for example) are excluded
 // for that query — but only with an explicit kNotSupported status, logged
@@ -21,25 +23,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench/gen/best_bid.hpp"
-#include "bench/gen/mm.hpp"
-#include "bench/gen/q12s.hpp"
-#include "bench/gen/q13s.hpp"
-#include "bench/gen/q3s.hpp"
-#include "bench/gen/q41.hpp"
-#include "bench/gen/q6s.hpp"
-#include "bench/gen/revenue.hpp"
-#include "bench/gen/selall.hpp"
-#include "bench/gen/selhalf.hpp"
-#include "bench/gen/selzero.hpp"
-#include "bench/gen/sobi_bids.hpp"
-#include "bench/gen/vwap.hpp"
+#include "bench/bench_scripts.h"
 #include "src/baseline/ivm1_engine.h"
 #include "src/baseline/reeval_engine.h"
 #include "src/common/rng.h"
@@ -49,77 +37,13 @@
 #include "src/runtime/engine.h"
 #include "src/runtime/stream_engine.h"
 #include "src/sql/parser.h"
+#include "tests/generated_programs.h"
 
 namespace dbtoaster {
 namespace {
 
 using runtime::EventBatch;
 using runtime::StreamEngine;
-
-// ---------------------------------------------------------------------------
-// Generated-program factory for the checked-in bench queries.
-// ---------------------------------------------------------------------------
-std::unique_ptr<dbt::StreamProgram> MakeGenerated(const std::string& name) {
-  if (name == "vwap") return std::make_unique<dbtoaster_gen::vwap_Program>();
-  if (name == "sobi_bids") {
-    return std::make_unique<dbtoaster_gen::sobi_bids_Program>();
-  }
-  if (name == "mm") return std::make_unique<dbtoaster_gen::mm_Program>();
-  if (name == "best_bid") {
-    return std::make_unique<dbtoaster_gen::best_bid_Program>();
-  }
-  if (name == "q41") return std::make_unique<dbtoaster_gen::q41_Program>();
-  if (name == "revenue") {
-    return std::make_unique<dbtoaster_gen::revenue_Program>();
-  }
-  if (name == "q3s") return std::make_unique<dbtoaster_gen::q3s_Program>();
-  if (name == "q6s") return std::make_unique<dbtoaster_gen::q6s_Program>();
-  if (name == "q12s") return std::make_unique<dbtoaster_gen::q12s_Program>();
-  if (name == "q13s") return std::make_unique<dbtoaster_gen::q13s_Program>();
-  if (name == "selzero") {
-    return std::make_unique<dbtoaster_gen::selzero_Program>();
-  }
-  if (name == "selhalf") {
-    return std::make_unique<dbtoaster_gen::selhalf_Program>();
-  }
-  if (name == "selall") {
-    return std::make_unique<dbtoaster_gen::selall_Program>();
-  }
-  return nullptr;
-}
-
-// ---------------------------------------------------------------------------
-// Typed random tuples: small domains so joins hit, predicates stay partially
-// selective, and deletions find prior inserts.
-// ---------------------------------------------------------------------------
-Value RandomValue(Rng* rng, const std::string& /*column*/, Type type) {
-  switch (type) {
-    case Type::kInt:
-      return Value(rng->Range(0, 7));
-    case Type::kDouble: {
-      static const double kPool[] = {0.04, 0.05, 0.06, 0.07, 0.10, 1.5, 20.0};
-      return Value(kPool[rng->Uniform(std::size(kPool))]);
-    }
-    case Type::kString: {
-      // Includes the literals the queries compare against, plus strings
-      // around the LIKE pattern boundaries.
-      static const char* kPool[] = {
-          "BUILDING",        "AUTOMOBILE",
-          "MAIL",            "SHIP",
-          "RAIL",            "1-URGENT",
-          "2-HIGH",          "3-MEDIUM",
-          "no remarks",      "customer special requests noted",
-          "special requests", "requests special"};
-      return Value(std::string(kPool[rng->Uniform(std::size(kPool))]));
-    }
-    case Type::kDate: {
-      const int64_t lo = CivilToDays(1993, 6, 1);
-      const int64_t hi = CivilToDays(1995, 6, 30);
-      return Value(lo + rng->Range(0, hi - lo));
-    }
-  }
-  return Value(int64_t{0});
-}
 
 // ---------------------------------------------------------------------------
 // Row comparison with a floating-point tolerance (engines sum doubles in
@@ -149,9 +73,9 @@ void ExpectSameView(const exec::QueryResult& want,
   }
 }
 
-/// Exact comparison for the row-shim vs columnar replay of the *same*
-/// generated program: both process the same events in the same order with
-/// the same code, so the views must match without any float tolerance.
+/// Exact comparison for the batched vs per-event replay of the *same*
+/// generated program: both process the same events in the same order, so
+/// the views must match without any float tolerance.
 void ExpectIdenticalView(const exec::QueryResult& want,
                          const exec::QueryResult& got,
                          const std::string& label) {
@@ -175,6 +99,7 @@ struct EngineUnderTest {
   std::unique_ptr<StreamEngine> engine;
   std::string view;  ///< this engine's registered view name
   std::unique_ptr<dbt::StreamProgram> program;  ///< toaster-c backing object
+  bool per_event = false;  ///< replay each batch through OnEvent
 };
 
 void RunDifferential(const Catalog& catalog, const std::string& sql,
@@ -216,80 +141,46 @@ void RunDifferential(const Catalog& catalog, const std::string& sql,
                   st.ToString().c_str());
     }
   }
-  // Index of the columnar toaster-c engine, when a generated program runs.
-  size_t columnar_at = 0, row_shim_at = 0;
+  // Index of the batched toaster-c engine, when a generated program runs.
+  size_t batched_at = 0, per_event_at = 0;
   if (!generated_name.empty()) {
-    std::unique_ptr<dbt::StreamProgram> program =
-        MakeGenerated(generated_name);
-    ASSERT_NE(program, nullptr) << generated_name;
-    EngineUnderTest e;
-    e.name = "toaster-c";
-    e.engine = std::make_unique<runtime::CompiledProgramEngine>(program.get());
-    e.view = "q0";  // dbtc scripts auto-name their first query q0
-    e.program = std::move(program);
-    columnar_at = engines.size();
-    engines.push_back(std::move(e));
-
-    // The same generated program again, but every batch crosses the
-    // boundary through the per-event row shim instead of the columnar
-    // fast path. Identical code and arrival order, so the two views must
-    // agree exactly (see ExpectIdenticalView below).
-    std::unique_ptr<dbt::StreamProgram> row_program =
-        MakeGenerated(generated_name);
-    EngineUnderTest r;
-    r.name = "toaster-c-row";
-    r.engine = std::make_unique<runtime::CompiledProgramEngine>(
-        row_program.get(), "toaster-c-row",
-        runtime::CompiledProgramEngine::BatchPath::kRow);
-    r.view = "q0";
-    r.program = std::move(row_program);
-    row_shim_at = engines.size();
-    engines.push_back(std::move(r));
+    for (bool per_event : {false, true}) {
+      std::unique_ptr<dbt::StreamProgram> program =
+          MakeGenerated(generated_name);
+      ASSERT_NE(program, nullptr) << generated_name;
+      EngineUnderTest e;
+      e.name = per_event ? "toaster-c-event" : "toaster-c";
+      e.engine = std::make_unique<runtime::CompiledProgramEngine>(
+          program.get(), e.name);
+      e.view = "q0";  // dbtc scripts auto-name their first query q0
+      e.program = std::move(program);
+      e.per_event = per_event;
+      (per_event ? per_event_at : batched_at) = engines.size();
+      engines.push_back(std::move(e));
+    }
   }
   // Even with ivm1 out, every bench case still cross-checks four ways
-  // (toaster-i, reeval, toaster-c, toaster-c-row) and every micro case at
+  // (toaster-i, reeval, toaster-c, toaster-c-event) and every micro case at
   // least two (toaster-i vs reeval).
   const size_t min_engines = generated_name.empty() ? 2u : 4u;
   ASSERT_GE(engines.size(), min_engines)
       << label << (ivm1_excluded ? " (ivm1 excluded)" : "");
 
-  // Seeded stream: random inserts plus deletions of live tuples. Batch
-  // sizes cycle through values straddling dbt::kShardBatchCutoff (64).
-  Rng rng(seed);
-  std::map<std::string, std::vector<Row>> live;
-  std::vector<std::string> rels;
-  for (const Schema& s : catalog.relations()) rels.push_back(s.name());
-  const size_t kBatchSizes[] = {1, 7, dbt::kShardBatchCutoff,
-                                2 * dbt::kShardBatchCutoff + 22};
-
+  // Seeded stream: random inserts plus deletions of live tuples, in batch
+  // sizes straddling dbt::kShardBatchCutoff.
+  const std::vector<EventBatch> stream = MakeStream(catalog, seed, num_batches);
   for (size_t b = 0; b < num_batches; ++b) {
-    const size_t batch_size = kBatchSizes[b % std::size(kBatchSizes)];
-    std::vector<EventBatch> batches(engines.size());
-    for (size_t ev = 0; ev < batch_size; ++ev) {
-      const std::string& rel = rels[rng.Uniform(rels.size())];
-      std::vector<Row>& rows = live[rel];
-      const bool do_delete = !rows.empty() && rng.Chance(0.35);
-      if (do_delete) {
-        size_t pick = rng.Uniform(rows.size());
-        Row victim = rows[pick];
-        rows.erase(rows.begin() + static_cast<long>(pick));
-        for (EventBatch& eb : batches) eb.AddDelete(rel, victim);
-      } else {
-        const Schema* schema = catalog.FindRelation(rel);
-        Row tuple;
-        for (size_t c = 0; c < schema->num_columns(); ++c) {
-          tuple.push_back(
-              RandomValue(&rng, schema->column_name(c),
-                          schema->column_type(c)));
+    for (EngineUnderTest& e : engines) {
+      if (e.per_event) {
+        for (const Event& ev : EventsOf(stream[b])) {
+          Status st = e.engine->OnEvent(ev);
+          ASSERT_TRUE(st.ok()) << label << " " << e.name << ": "
+                               << st.ToString();
         }
-        rows.push_back(tuple);
-        for (EventBatch& eb : batches) eb.AddInsert(rel, tuple);
+        continue;
       }
-    }
-    for (size_t e = 0; e < engines.size(); ++e) {
-      Status st = engines[e].engine->ApplyBatch(std::move(batches[e]));
-      ASSERT_TRUE(st.ok()) << label << " " << engines[e].name << ": "
-                           << st.ToString();
+      Status st = e.engine->ApplyBatch(EventBatch(stream[b]));
+      ASSERT_TRUE(st.ok()) << label << " " << e.name << ": " << st.ToString();
     }
 
     auto want = engines[0].engine->View(engines[0].view);
@@ -306,11 +197,11 @@ void RunDifferential(const Catalog& catalog, const std::string& sql,
     }
 
     if (!generated_name.empty()) {
-      auto cv = engines[columnar_at].engine->View("q0");
-      auto rv = engines[row_shim_at].engine->View("q0");
-      ASSERT_TRUE(cv.ok() && rv.ok()) << label;
-      ExpectIdenticalView(cv.value(), rv.value(),
-                          label + ": toaster-c columnar vs row shim after "
+      auto bv = engines[batched_at].engine->View("q0");
+      auto ev = engines[per_event_at].engine->View("q0");
+      ASSERT_TRUE(bv.ok() && ev.ok()) << label;
+      ExpectIdenticalView(bv.value(), ev.value(),
+                          label + ": toaster-c batched vs per-event after "
                           "batch " + std::to_string(b));
     }
   }
@@ -319,30 +210,6 @@ void RunDifferential(const Catalog& catalog, const std::string& sql,
 // ---------------------------------------------------------------------------
 // Every checked-in bench query, five engines where applicable.
 // ---------------------------------------------------------------------------
-struct ScriptCase {
-  std::string name;
-  Catalog catalog;
-  std::string sql;
-};
-
-ScriptCase LoadScript(const std::string& name) {
-  ScriptCase out;
-  out.name = name;
-  const std::string path = std::string(DBT_QUERY_DIR) + "/" + name + ".sql";
-  std::ifstream f(path);
-  EXPECT_TRUE(f.good()) << path;
-  std::stringstream ss;
-  ss << f.rdbuf();
-  auto script = sql::ParseScript(ss.str());
-  EXPECT_TRUE(script.ok()) << path << ": " << script.status().ToString();
-  for (const sql::CreateTableStmt& t : script.value().tables) {
-    EXPECT_TRUE(out.catalog.AddRelation(t).ok());
-  }
-  EXPECT_EQ(script.value().queries.size(), 1u) << path;
-  out.sql = script.value().queries[0].select->ToString();
-  return out;
-}
-
 class BenchQueryDifferential : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(BenchQueryDifferential, AllEnginesAgreeOnSeededStreams) {
@@ -353,8 +220,8 @@ TEST_P(BenchQueryDifferential, AllEnginesAgreeOnSeededStreams) {
 
 // selzero/selhalf/selall pin the selectivity extremes of the selection
 // prologue: guards passing 0%, ~50% (date range), and 100% of the seeded
-// rows (IN-list and comparison kernels), each replayed through columnar,
-// row-shim, and interpreted paths with byte-identical views.
+// rows (IN-list and comparison kernels), each replayed batched, per event,
+// and interpreted, with byte-identical views.
 INSTANTIATE_TEST_SUITE_P(AllBenchQueries, BenchQueryDifferential,
                          ::testing::Values("vwap", "sobi_bids", "mm",
                                            "best_bid", "q41", "revenue",
@@ -396,6 +263,9 @@ struct MicroCase {
   const char* label;
   const char* sql;
 };
+
+// Test names print the label, not the struct's pointer bytes.
+void PrintTo(const MicroCase& c, std::ostream* os) { *os << c.label; }
 
 class MicroQueryDifferential : public ::testing::TestWithParam<MicroCase> {};
 

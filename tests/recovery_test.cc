@@ -15,19 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/gen/best_bid.hpp"
-#include "bench/gen/mm.hpp"
-#include "bench/gen/q12s.hpp"
-#include "bench/gen/q13s.hpp"
-#include "bench/gen/q3s.hpp"
-#include "bench/gen/q41.hpp"
-#include "bench/gen/q6s.hpp"
-#include "bench/gen/revenue.hpp"
-#include "bench/gen/selall.hpp"
-#include "bench/gen/selhalf.hpp"
-#include "bench/gen/selzero.hpp"
-#include "bench/gen/sobi_bids.hpp"
-#include "bench/gen/vwap.hpp"
+#include "bench/bench_scripts.h"
 #include "src/baseline/ivm1_engine.h"
 #include "src/baseline/reeval_engine.h"
 #include "src/common/rng.h"
@@ -37,6 +25,7 @@
 #include "src/runtime/engine.h"
 #include "src/runtime/stream_engine.h"
 #include "src/sql/parser.h"
+#include "tests/generated_programs.h"
 
 namespace dbtoaster {
 namespace {
@@ -111,127 +100,6 @@ void ExpectIdenticalView(const exec::QueryResult& want,
                          const exec::QueryResult& got,
                          const std::string& label) {
   ExpectViewMatch(want, got, label, /*exact=*/true);
-}
-
-std::unique_ptr<dbt::StreamProgram> MakeGenerated(const std::string& name) {
-  if (name == "vwap") return std::make_unique<dbtoaster_gen::vwap_Program>();
-  if (name == "sobi_bids") {
-    return std::make_unique<dbtoaster_gen::sobi_bids_Program>();
-  }
-  if (name == "mm") return std::make_unique<dbtoaster_gen::mm_Program>();
-  if (name == "best_bid") {
-    return std::make_unique<dbtoaster_gen::best_bid_Program>();
-  }
-  if (name == "q41") return std::make_unique<dbtoaster_gen::q41_Program>();
-  if (name == "revenue") {
-    return std::make_unique<dbtoaster_gen::revenue_Program>();
-  }
-  if (name == "q3s") return std::make_unique<dbtoaster_gen::q3s_Program>();
-  if (name == "q6s") return std::make_unique<dbtoaster_gen::q6s_Program>();
-  if (name == "q12s") return std::make_unique<dbtoaster_gen::q12s_Program>();
-  if (name == "q13s") return std::make_unique<dbtoaster_gen::q13s_Program>();
-  if (name == "selzero") {
-    return std::make_unique<dbtoaster_gen::selzero_Program>();
-  }
-  if (name == "selhalf") {
-    return std::make_unique<dbtoaster_gen::selhalf_Program>();
-  }
-  if (name == "selall") {
-    return std::make_unique<dbtoaster_gen::selall_Program>();
-  }
-  return nullptr;
-}
-
-struct ScriptCase {
-  std::string name;
-  Catalog catalog;
-  std::string sql;
-};
-
-ScriptCase LoadScript(const std::string& name) {
-  ScriptCase out;
-  out.name = name;
-  const std::string path = std::string(DBT_QUERY_DIR) + "/" + name + ".sql";
-  std::ifstream f(path);
-  EXPECT_TRUE(f.good()) << path;
-  std::stringstream ss;
-  ss << f.rdbuf();
-  auto script = sql::ParseScript(ss.str());
-  EXPECT_TRUE(script.ok()) << path << ": " << script.status().ToString();
-  for (const sql::CreateTableStmt& t : script.value().tables) {
-    EXPECT_TRUE(out.catalog.AddRelation(t).ok());
-  }
-  EXPECT_EQ(script.value().queries.size(), 1u) << path;
-  out.sql = script.value().queries[0].select->ToString();
-  return out;
-}
-
-Value RandomValue(Rng* rng, Type type) {
-  switch (type) {
-    case Type::kInt:
-      return Value(rng->Range(0, 7));
-    case Type::kDouble: {
-      static const double kPool[] = {0.04, 0.05, 0.06, 0.07, 0.10, 1.5, 20.0};
-      return Value(kPool[rng->Uniform(std::size(kPool))]);
-    }
-    case Type::kString: {
-      static const char* kPool[] = {"BUILDING",  "AUTOMOBILE", "MAIL",
-                                    "SHIP",      "RAIL",       "1-URGENT",
-                                    "2-HIGH",    "3-MEDIUM",   "no remarks",
-                                    "special requests"};
-      return Value(std::string(kPool[rng->Uniform(std::size(kPool))]));
-    }
-    case Type::kDate: {
-      const int64_t lo = CivilToDays(1993, 6, 1);
-      const int64_t hi = CivilToDays(1995, 6, 30);
-      return Value(lo + rng->Range(0, hi - lo));
-    }
-  }
-  return Value(int64_t{0});
-}
-
-/// Seeded mixed insert/delete stream over the catalog, pre-split into
-/// batches (deletes always target live tuples).
-std::vector<EventBatch> MakeStream(const Catalog& catalog, uint64_t seed,
-                                   size_t num_batches) {
-  Rng rng(seed);
-  std::map<std::string, std::vector<Row>> live;
-  std::vector<std::string> rels;
-  for (const Schema& s : catalog.relations()) rels.push_back(s.name());
-  const size_t kBatchSizes[] = {1, 7, 64, 150};
-  std::vector<EventBatch> batches(num_batches);
-  for (size_t b = 0; b < num_batches; ++b) {
-    const size_t batch_size = kBatchSizes[b % std::size(kBatchSizes)];
-    for (size_t ev = 0; ev < batch_size; ++ev) {
-      const std::string& rel = rels[rng.Uniform(rels.size())];
-      std::vector<Row>& rows = live[rel];
-      if (!rows.empty() && rng.Chance(0.35)) {
-        size_t pick = rng.Uniform(rows.size());
-        Row victim = rows[pick];
-        rows.erase(rows.begin() + static_cast<long>(pick));
-        batches[b].AddDelete(rel, victim);
-      } else {
-        const Schema* schema = catalog.FindRelation(rel);
-        Row tuple;
-        for (size_t c = 0; c < schema->num_columns(); ++c) {
-          tuple.push_back(RandomValue(&rng, schema->column_type(c)));
-        }
-        rows.push_back(tuple);
-        batches[b].AddInsert(rel, tuple);
-      }
-    }
-  }
-  return batches;
-}
-
-/// Copy of a batch (EventBatch is move-ingested; tests replay the same
-/// stream into several engines).
-EventBatch CopyBatch(const EventBatch& src) {
-  EventBatch out;
-  for (const EventBatch::Group& g : src.groups()) {
-    for (size_t i = 0; i < g.rows; ++i) out.Add(g.kind, g.relation, g.RowAt(i));
-  }
-  return out;
 }
 
 /// One engine instance of a given class for a bench query; the generated
@@ -410,6 +278,38 @@ TEST(StateSerde, BatchSerdeRoundTrip) {
   }
 }
 
+// A crafted frame whose row count makes rows * 8 wrap to a small number
+// must be a ParseError, not a reserve() that throws out of the decoder.
+TEST(StateSerde, BatchLaneRowCountOverflowIsParseError) {
+  for (uint8_t tag : {uint8_t{0}, uint8_t{1}}) {  // i64 and f64 lanes
+    dbt::Ser s;
+    s.u64(1);                         // groups
+    s.str("R");
+    s.u8(0);                          // insert
+    s.u64((uint64_t{1} << 61) + 1);   // rows: * 8 wraps to 8
+    s.u64(1);                         // columns
+    s.u8(tag);
+    for (int i = 0; i < 4; ++i) s.i64(i);
+    dbt::Deser d(s.data());
+    EventBatch back;
+    Status st = Status::OK();
+    EXPECT_NO_THROW(st = runtime::DeserializeBatch(&d, &back));
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << st.ToString();
+  }
+
+  // Rows without columns carry no bytes, so their count is unbounded.
+  dbt::Ser s;
+  s.u64(1);
+  s.str("R");
+  s.u8(0);
+  s.u64(uint64_t{1} << 60);
+  s.u64(0);
+  dbt::Deser d(s.data());
+  EventBatch back;
+  EXPECT_EQ(runtime::DeserializeBatch(&d, &back).code(),
+            StatusCode::kParseError);
+}
+
 // ---------------------------------------------------------------------------
 // Boundary validation (adversarial batches).
 // ---------------------------------------------------------------------------
@@ -473,7 +373,7 @@ TEST(IngestValidation, LaneTypeMismatchIsTypeErrorWithColumn) {
   EXPECT_EQ(st.code(), StatusCode::kTypeError);
   EXPECT_NE(st.message().find("column 1"), std::string::npos) << st.ToString();
 
-  // Numeric lanes are interchangeable: ints into S's double column is fine.
+  // Numeric lanes coerce to the schema: ints into S's double column is fine.
   Status ok = e->OnInsert("S", {Value(int64_t{1}), Value(int64_t{4})});
   EXPECT_TRUE(ok.ok()) << ok.ToString();
 }
@@ -508,6 +408,216 @@ TEST(IngestValidation, CompiledProgramRejectsMalformedBatches) {
     EXPECT_EQ(st2.code(), StatusCode::kInvalidArgument);
   }
   EXPECT_EQ(inst.engine->epoch(), 0u);
+}
+
+// Malformed batch groups: each shape is recorded when the row is added and
+// refused at validation, naming the relation, column and row — even by a
+// validator with no schemas. Every lane keeps one entry per row, so
+// nothing downstream reads past a lane.
+TEST(IngestValidation, MalformedGroupsAreRefusedWithRowAndColumn) {
+  struct Case {
+    const char* label;
+    std::vector<Row> rows;
+    StatusCode code;
+    const char* column;
+  };
+  const Case kCases[] = {
+      {"short then long",
+       {{Value(int64_t{1}), Value("x")},
+        {Value(int64_t{1}), Value("x"), Value(int64_t{3})}},
+       StatusCode::kInvalidArgument,
+       "column 2"},
+      {"long then short",
+       {{Value(int64_t{1}), Value("x"), Value(int64_t{3})},
+        {Value(int64_t{1}), Value("x")}},
+       StatusCode::kInvalidArgument,
+       "column 2"},
+      {"string in an int column",
+       {{Value(int64_t{1}), Value("x"), Value(int64_t{3})},
+        {Value("oops"), Value("y"), Value(int64_t{4})}},
+       StatusCode::kTypeError,
+       "column 0"},
+      {"number in a string column",
+       {{Value(int64_t{1}), Value("x"), Value(int64_t{3})},
+        {Value(int64_t{2}), Value(int64_t{7}), Value(int64_t{4})}},
+       StatusCode::kTypeError,
+       "column 1"},
+  };
+  for (const Case& c : kCases) {
+    EventBatch b;
+    for (const Row& row : c.rows) b.AddInsert("R", row);
+    const EventBatch::Group& g = b.groups()[0];
+    for (const dbt::EventColumn& col : g.cols) {
+      EXPECT_EQ(col.size(), g.rows) << c.label;
+    }
+
+    const runtime::IngestValidator no_schemas;
+    Status bare = no_schemas.ValidateBatch(b);
+    EXPECT_EQ(bare.code(), c.code) << c.label << ": " << bare.ToString();
+
+    auto e = MicroEngine();
+    Status st = e->ApplyBatch(std::move(b));
+    ASSERT_FALSE(st.ok()) << c.label;
+    EXPECT_EQ(st.code(), c.code) << c.label << ": " << st.ToString();
+    EXPECT_NE(st.message().find("'R'"), std::string::npos) << st.ToString();
+    EXPECT_NE(st.message().find("row 1"), std::string::npos) << st.ToString();
+    EXPECT_NE(st.message().find(c.column), std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(e->epoch(), 0u) << c.label;
+  }
+
+  // The same shapes on the embedder's side of the boundary: recorded, and
+  // a number in a string lane does not throw.
+  dbt::EventBatch::Group dg;
+  dg.add({int64_t{1}, std::string("x")});
+  dg.add({int64_t{2}, int64_t{7}});
+  EXPECT_EQ(dg.defect.kind, dbt::RowDefect::Kind::kMistyped);
+  EXPECT_EQ(dg.defect.row, 1u);
+  EXPECT_EQ(dg.defect.col, 1u);
+  EXPECT_EQ(dg.cols[1].size(), 2u);
+
+  // A generated handler refuses such a group, and one whose lanes differ
+  // from its schema, rather than reading them.
+  std::unique_ptr<dbt::StreamProgram> q6s = MakeGenerated("q6s");
+  const std::vector<dbt::Value> row = {int64_t{1}, int64_t{3}, 20.0, 0.06,
+                                       int64_t{8800}};
+  dbt::EventBatch malformed;
+  malformed.add("LINEITEM", true, row);
+  malformed.add("LINEITEM", true, {int64_t{2}, std::string("x"), 20.0, 0.06,
+                                   int64_t{8800}});
+  EXPECT_EQ(q6s->on_batch(malformed), 0u);
+  dbt::EventBatch widened;
+  widened.add("LINEITEM", true, {1.5, int64_t{3}, 20.0, 0.06, int64_t{8800}});
+  EXPECT_EQ(q6s->on_batch(widened), 0u);
+  dbt::EventBatch typed;
+  typed.add("LINEITEM", true, row);
+  EXPECT_EQ(q6s->on_batch(typed), 1u);
+}
+
+// A value is never narrowed when added: a double arriving after ints
+// widens the lane instead of truncating, so batch and OnEvent replay agree.
+TEST(IngestValidation, DoubleAfterIntsWidensTheLane) {
+  EventBatch b;
+  b.AddInsert("S", {Value(int64_t{1}), Value(int64_t{100})});
+  b.AddInsert("S", {Value(int64_t{2}), Value(100.5)});
+  const EventBatch::Group& g = b.groups()[0];
+  EXPECT_EQ(g.cols[1].tag, dbt::EventColumn::Tag::kF64);
+  EXPECT_TRUE(g.RowAt(0)[1] == Value(100.0));
+  EXPECT_TRUE(g.RowAt(1)[1] == Value(100.5));
+  EXPECT_EQ(g.defect.kind, dbt::RowDefect::Kind::kNone);
+}
+
+/// A view rendered with each value's kind, so 5 and 5.0 differ.
+std::string TypedRendering(const exec::QueryResult& r) {
+  std::string out;
+  for (const auto& [row, mult] : r.SortedRows()) {
+    for (const Value& v : row) {
+      out += v.is_string() ? 's' : v.is_double() ? 'd' : 'i';
+      out += v.ToString() + " ";
+    }
+    out += "x" + std::to_string(mult) + "\n";
+  }
+  return out;
+}
+
+// The schema alone fixes each column's lane. A feed that sends ints in
+// DOUBLE columns and integral doubles in INT and DATE columns, mixed within
+// one group so lanes widen mid-group, must leave every engine class with
+// the views of the correctly typed stream: batched at {1, 7, 64, 150} and
+// event by event through OnEvent. q3s joins and groups on INT keys. A
+// non-integral double aimed at an INT column is a kTypeError that leaves
+// the epoch where it was.
+TEST(IngestValidation, MistypedNumericStreamMatchesTypedStream) {
+  for (const char* query : {"q6s", "q3s"}) {
+    ScriptCase sc = LoadScript(query);
+    const std::vector<EventBatch> batches = MakeStream(sc.catalog, 0x7e57, 16);
+    Rng rng(99);
+    std::vector<std::vector<Event>> typed, mistyped;
+    size_t flipped = 0;
+    for (const EventBatch& b : batches) {
+      typed.push_back(EventsOf(b));
+      mistyped.push_back(typed.back());
+      for (Event& ev : mistyped.back()) {
+        for (Value& v : ev.tuple) {
+          if (!rng.Chance(0.5)) continue;
+          if (v.is_int()) {
+            v = Value(static_cast<double>(v.AsInt()));
+            ++flipped;
+          } else if (v.is_double() && dbt::IsExactInt(v.AsDouble())) {
+            v = Value(v.AsInt());
+            ++flipped;
+          }
+        }
+      }
+    }
+    ASSERT_GT(flipped, 100u) << query;
+    auto batch_of = [](const std::vector<Event>& events) {
+      EventBatch b;
+      for (const Event& ev : events) b.Add(ev);
+      return b;
+    };
+
+    for (const char* kind : {"toaster-i", "reeval", "ivm1", "toaster-c"}) {
+      const std::string label = std::string(query) + " " + kind;
+      // {typed, mistyped} x {batched, per-event}
+      EngineInstance engines[4];
+      for (EngineInstance& e : engines) {
+        e = MakeEngine(kind, sc);
+        ASSERT_NE(e.engine, nullptr) << label;
+      }
+      for (size_t i = 0; i < batches.size(); ++i) {
+        for (int m = 0; m < 2; ++m) {
+          const std::vector<Event>& events = m == 0 ? typed[i] : mistyped[i];
+          Status st = engines[2 * m].engine->ApplyBatch(batch_of(events));
+          ASSERT_TRUE(st.ok()) << label << " batch " << i << ": "
+                               << st.ToString();
+          for (const Event& ev : events) {
+            st = engines[2 * m + 1].engine->OnEvent(ev);
+            ASSERT_TRUE(st.ok()) << label << " batch " << i << ": "
+                                 << st.ToString();
+          }
+        }
+        for (int path = 0; path < 2; ++path) {
+          auto want = engines[path].engine->View(engines[path].view);
+          auto got = engines[2 + path].engine->View(engines[2 + path].view);
+          ASSERT_TRUE(want.ok() && got.ok()) << label;
+          ASSERT_EQ(TypedRendering(want.value()), TypedRendering(got.value()))
+              << label << (path == 0 ? " batched" : " per-event")
+              << " after batch " << i;
+        }
+      }
+
+      // A non-integral double in the first INT or DATE column of a row.
+      Event bad = typed[0][0];
+      const Schema* schema = sc.catalog.FindRelation(bad.relation);
+      size_t col = 0;
+      while (schema->column_type(col) == Type::kDouble ||
+             schema->column_type(col) == Type::kString) {
+        ++col;
+      }
+      bad.tuple[col] = Value(3.5);
+      const std::string where =
+          "'" + bad.relation + "' column " + std::to_string(col) + " row ";
+      const uint64_t epoch = engines[2].engine->epoch();
+      EventBatch b;
+      b.Add(typed[0][0]);
+      b.Add(bad);
+      Status st = engines[2].engine->ApplyBatch(std::move(b));
+      EXPECT_EQ(st.code(), StatusCode::kTypeError) << label << ": "
+                                                   << st.ToString();
+      EXPECT_NE(st.message().find(where + "1"), std::string::npos)
+          << st.ToString();
+      EXPECT_EQ(engines[2].engine->epoch(), epoch) << label;
+
+      const uint64_t event_epoch = engines[3].engine->epoch();
+      st = engines[3].engine->OnEvent(bad);
+      EXPECT_EQ(st.code(), StatusCode::kTypeError) << label << ": "
+                                                   << st.ToString();
+      EXPECT_NE(st.message().find(where + "0"), std::string::npos)
+          << st.ToString();
+      EXPECT_EQ(engines[3].engine->epoch(), event_epoch) << label;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -850,7 +960,7 @@ TEST(BatchLog, ReplayIsExactlyOnceAndDetectsGaps) {
     ASSERT_TRUE(w.Open(path).ok());
     for (size_t i = 0; i < batches.size(); ++i) {
       ASSERT_TRUE(w.Append(i + 1, batches[i]).ok());
-      ASSERT_TRUE(reference->ApplyBatch(CopyBatch(batches[i])).ok());
+      ASSERT_TRUE(reference->ApplyBatch(EventBatch(batches[i])).ok());
     }
   }
 
@@ -879,7 +989,7 @@ TEST(BatchLog, ReplayIsExactlyOnceAndDetectsGaps) {
   // applied.
   auto partial = MicroEngine();
   for (size_t i = 0; i < 2; ++i) {
-    ASSERT_TRUE(partial->ApplyBatch(CopyBatch(batches[i])).ok());
+    ASSERT_TRUE(partial->ApplyBatch(EventBatch(batches[i])).ok());
   }
   auto stats3 = runtime::ReplayLog(path, partial.get());
   ASSERT_TRUE(stats3.ok());
@@ -936,7 +1046,7 @@ void RunCrashRecovery(const ScriptCase& sc, const std::string& kind,
   // every batch boundary.
   std::vector<exec::QueryResult> reference_views;
   for (size_t i = 0; i < kBatches; ++i) {
-    ASSERT_TRUE(reference.engine->ApplyBatch(CopyBatch(batches[i])).ok())
+    ASSERT_TRUE(reference.engine->ApplyBatch(EventBatch(batches[i])).ok())
         << label;
     auto v = reference.engine->View(reference.view);
     ASSERT_TRUE(v.ok()) << label << ": " << v.status().ToString();
@@ -955,7 +1065,7 @@ void RunCrashRecovery(const ScriptCase& sc, const std::string& kind,
     }
     for (size_t i = 0; i < crash_at; ++i) {
       ASSERT_TRUE(w.Append(i + 1, batches[i]).ok()) << label;
-      ASSERT_TRUE(victim.engine->ApplyBatch(CopyBatch(batches[i])).ok())
+      ASSERT_TRUE(victim.engine->ApplyBatch(EventBatch(batches[i])).ok())
           << label;
       if (i + 1 == ckpt_at) {
         ASSERT_TRUE(runtime::WriteCheckpoint(ckpt, *victim.engine).ok())
@@ -1014,7 +1124,7 @@ void RunCrashRecovery(const ScriptCase& sc, const std::string& kind,
   // The upstream resends from the recovery epoch (exactly-once cursor);
   // finish the stream and require the final views identical.
   for (size_t i = recovered_to; i < kBatches; ++i) {
-    ASSERT_TRUE(recovered.engine->ApplyBatch(CopyBatch(batches[i])).ok())
+    ASSERT_TRUE(recovered.engine->ApplyBatch(EventBatch(batches[i])).ok())
         << label;
   }
   auto final_got = recovered.engine->View(recovered.view);

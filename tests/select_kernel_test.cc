@@ -213,12 +213,4 @@ TEST(SelectKernel, SelBufStackAndHeap) {
   EXPECT_NE(small, big);
 }
 
-TEST(SelectKernel, SelectionToggleRoundTrip) {
-  EXPECT_TRUE(dbt::SelectionEnabled());  // default on
-  dbt::SetSelectionEnabled(false);
-  EXPECT_FALSE(dbt::SelectionEnabled());
-  dbt::SetSelectionEnabled(true);
-  EXPECT_TRUE(dbt::SelectionEnabled());
-}
-
 }  // namespace

@@ -8,15 +8,14 @@
 
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "bench/bench_scripts.h"
 #include "bench/gen/mm.hpp"
 #include "src/baseline/ivm1_engine.h"
 #include "src/baseline/reeval_engine.h"
@@ -36,75 +35,8 @@ using runtime::ViewSnapshot;
 using runtime::ViewSubscriber;
 
 // ---------------------------------------------------------------------------
-// Helpers (stream construction mirrors recovery_test.cc).
+// Helpers.
 // ---------------------------------------------------------------------------
-
-struct ScriptCase {
-  std::string name;
-  Catalog catalog;
-  std::string sql;
-};
-
-ScriptCase LoadScript(const std::string& name) {
-  ScriptCase out;
-  out.name = name;
-  const std::string path = std::string(DBT_QUERY_DIR) + "/" + name + ".sql";
-  std::ifstream f(path);
-  EXPECT_TRUE(f.good()) << path;
-  std::stringstream ss;
-  ss << f.rdbuf();
-  auto script = sql::ParseScript(ss.str());
-  EXPECT_TRUE(script.ok()) << path << ": " << script.status().ToString();
-  for (const sql::CreateTableStmt& t : script.value().tables) {
-    EXPECT_TRUE(out.catalog.AddRelation(t).ok());
-  }
-  EXPECT_EQ(script.value().queries.size(), 1u) << path;
-  out.sql = script.value().queries[0].select->ToString();
-  return out;
-}
-
-/// Seeded mixed insert/delete stream (deletes always target live tuples).
-/// mm's columns are all ints, so Range(0, 7) keeps the group count small
-/// and the delete rate meaningful.
-std::vector<EventBatch> MakeStream(const Catalog& catalog, uint64_t seed,
-                                   size_t num_batches) {
-  Rng rng(seed);
-  std::map<std::string, std::vector<Row>> live;
-  std::vector<std::string> rels;
-  for (const Schema& s : catalog.relations()) rels.push_back(s.name());
-  const size_t kBatchSizes[] = {1, 7, 64, 150};
-  std::vector<EventBatch> batches(num_batches);
-  for (size_t b = 0; b < num_batches; ++b) {
-    const size_t batch_size = kBatchSizes[b % std::size(kBatchSizes)];
-    for (size_t ev = 0; ev < batch_size; ++ev) {
-      const std::string& rel = rels[rng.Uniform(rels.size())];
-      std::vector<Row>& rows = live[rel];
-      if (!rows.empty() && rng.Chance(0.35)) {
-        size_t pick = rng.Uniform(rows.size());
-        Row victim = rows[pick];
-        rows.erase(rows.begin() + static_cast<long>(pick));
-        batches[b].AddDelete(rel, victim);
-      } else {
-        const Schema* schema = catalog.FindRelation(rel);
-        Row tuple;
-        for (size_t c = 0; c < schema->num_columns(); ++c) {
-          tuple.push_back(Value(rng.Range(0, 7)));
-        }
-        rows.push_back(tuple);
-        batches[b].AddInsert(rel, tuple);
-      }
-    }
-  }
-  return batches;
-}
-
-EventBatch CopyBatch(const EventBatch& src) {
-  EventBatch out;
-  for (const EventBatch::Group& g : src.groups()) {
-    for (size_t i = 0; i < g.rows; ++i) out.Add(g.kind, g.relation, g.RowAt(i));
-  }
-  return out;
-}
 
 struct EngineInstance {
   std::unique_ptr<dbt::StreamProgram> program;
@@ -193,7 +125,7 @@ std::vector<std::string> BuildReference(const std::string& kind,
   EXPECT_TRUE(v0.ok()) << kind << ": " << v0.status().ToString();
   ref.push_back(CanonView(v0.value()));
   for (const EventBatch& b : stream) {
-    Status st = inst.engine->ApplyBatch(CopyBatch(b));
+    Status st = inst.engine->ApplyBatch(EventBatch(b));
     EXPECT_TRUE(st.ok()) << kind << ": " << st.ToString();
     auto v = inst.engine->View(inst.view);
     EXPECT_TRUE(v.ok()) << kind << ": " << v.status().ToString();
@@ -286,7 +218,7 @@ TEST(ServingStress, EpochConsistentSnapshotsAcrossEngines) {
       }
 
       for (const EventBatch& b : stream) {
-        Status st = engine->ApplyBatch(CopyBatch(b));
+        Status st = engine->ApplyBatch(EventBatch(b));
         ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
         // Give readers a slice between publishes so they interleave with
         // the writer instead of racing it only at the end.
@@ -335,7 +267,7 @@ TEST(Serving, SubscriberDeltaReplayReconstructsEveryEpoch) {
 
     ViewSubscriber mid;
     for (size_t b = 0; b < stream.size(); ++b) {
-      ASSERT_TRUE(engine->ApplyBatch(CopyBatch(stream[b])).ok()) << kind;
+      ASSERT_TRUE(engine->ApplyBatch(EventBatch(stream[b])).ok()) << kind;
       if (b + 1 == kMidEpoch) {
         auto m = engine->Subscribe();
         ASSERT_TRUE(m.ok()) << kind;
@@ -384,7 +316,7 @@ TEST(Serving, SlowSubscriberLags) {
   auto sub = engine->Subscribe();
   ASSERT_TRUE(sub.ok());
   for (const EventBatch& b : stream) {
-    ASSERT_TRUE(engine->ApplyBatch(CopyBatch(b)).ok());
+    ASSERT_TRUE(engine->ApplyBatch(EventBatch(b)).ok());
   }
   EXPECT_TRUE(sub.value().lagged());
   EXPECT_TRUE(sub.value().Poll().empty()) << "lagged queue must be dropped";
@@ -428,7 +360,7 @@ TEST(Serving, CompiledPublishSnapshotMatchesView) {
   StreamEngine* engine = inst.engine.get();
   ASSERT_TRUE(engine->EnableServing().ok());
   for (const EventBatch& b : stream) {
-    ASSERT_TRUE(engine->ApplyBatch(CopyBatch(b)).ok());
+    ASSERT_TRUE(engine->ApplyBatch(EventBatch(b)).ok());
   }
 
   auto direct = engine->View("q0");

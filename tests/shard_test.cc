@@ -15,7 +15,6 @@
 
 #include "bench/bench_common.h"
 #include "bench/gen/mm.hpp"
-#include "src/codegen/dbt_select.h"
 #include "src/common/rng.h"
 #include "src/runtime/stream_engine.h"
 #include "src/sql/parser.h"
@@ -292,22 +291,28 @@ TEST(ShardDeterminism, InterpretedGroupedAggregateAcrossCutoff) {
   }
 }
 
-/// Restores the process-wide selection toggle to its default (enabled) when
-/// a test scope ends, mirroring PoolGuard for the worker pool.
-struct SelectionGuard {
-  ~SelectionGuard() { dbt::SetSelectionEnabled(true); }
-};
+/// Replays the stream one event at a time through OnEvent: the per-row
+/// on_<R> handlers of a generated program, the sequential path of the
+/// interpreter.
+RunOutput RunPerEvent(StreamEngine* engine, const std::vector<Event>& events,
+                      const std::string& view_name = "q") {
+  for (const Event& ev : events) EXPECT_TRUE(engine->OnEvent(ev).ok());
+  auto view = engine->View(view_name);
+  EXPECT_TRUE(view.ok()) << view.status().ToString();
+  return RunOutput{view.ok() ? Canon(view.value()) : std::string(),
+                   engine->StateBytes()};
+}
 
-// The selection-vector prologue must be a pure performance rewrite: with
-// predicates extracted into kernels (selection on) or left to the per-row
-// guard factors (selection off), views must be byte-identical at every
-// thread count. Covers both the dbtc-generated sharded vec path (batch 512
-// crosses dbt::kShardBatchCutoff, so selection runs after the shard split)
-// and the interpreted engine's SelectionClasses mirror on a pred-guarded
-// grouped aggregate, below and above the cutoff.
-TEST(ShardDeterminism, SelectionToggleInvariantAcrossThreads) {
+// Batched ingest — selection prologues, statement-major vec phases, and
+// the shard split past dbt::kShardBatchCutoff — must be a pure performance
+// rewrite of per-event replay through OnEvent: byte-identical views at
+// every thread count, and state_bytes identical across thread counts.
+// Covers the dbtc-generated sharded vec path (batch 512 crosses the
+// cutoff, so selection runs after the shard split) and the interpreted
+// engine's SelectionClasses mirror on a pred-guarded grouped aggregate,
+// below and above the cutoff.
+TEST(ShardDeterminism, BatchedMatchesPerEventAcrossThreads) {
   PoolGuard pool_guard;
-  SelectionGuard sel_guard;
 
   // Generated program: the market-maker query's guards feed the prologue.
   {
@@ -319,31 +324,28 @@ TEST(ShardDeterminism, SelectionToggleInvariantAcrossThreads) {
     workload::OrderBookGenerator gen(cfg);
     const std::vector<Event> events = gen.Generate(6000);
 
-    std::string reference;
-    RunOutput per_mode[2];
-    for (bool selection : {true, false}) {
-      RunOutput at_one;
-      for (size_t threads : {size_t{1}, size_t{8}}) {
-        dbt::SetSelectionEnabled(selection);
-        runtime::shard_pool().set_threads(threads);
-        dbtoaster_gen::mm_Program program;
-        auto engine = MakeEngine("toaster-c", catalog, sql, &program);
-        ASSERT_NE(engine, nullptr);
-        RunOutput out = RunBatched(engine.get(), events, 512, "q0");
-        if (reference.empty()) reference = out.view;
-        EXPECT_EQ(out.view, reference)
-            << "selection=" << selection << " threads=" << threads;
-        if (threads == 1) {
-          at_one = out;
-        } else {
-          EXPECT_EQ(out.state_bytes, at_one.state_bytes)
-              << "selection=" << selection << " threads=" << threads;
-        }
+    runtime::shard_pool().set_threads(1);
+    dbtoaster_gen::mm_Program ref_program;
+    auto reference = MakeEngine("toaster-c", catalog, sql, &ref_program);
+    ASSERT_NE(reference, nullptr);
+    const RunOutput want = RunPerEvent(reference.get(), events, "q0");
+
+    RunOutput at_one;
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      runtime::shard_pool().set_threads(threads);
+      dbtoaster_gen::mm_Program program;
+      auto engine = MakeEngine("toaster-c", catalog, sql, &program);
+      ASSERT_NE(engine, nullptr);
+      RunOutput out = RunBatched(engine.get(), events, 512, "q0");
+      EXPECT_EQ(out.view, want.view) << "threads=" << threads;
+      EXPECT_EQ(out.state_bytes, want.state_bytes) << "threads=" << threads;
+      if (threads == 1) {
+        at_one = out;
+      } else {
+        EXPECT_EQ(out.state_bytes, at_one.state_bytes)
+            << "threads=" << threads;
       }
-      per_mode[selection ? 0 : 1] = at_one;
     }
-    EXPECT_EQ(per_mode[0].view, per_mode[1].view)
-        << "selection toggle changed the generated program's view";
   }
 
   // Interpreted engine: a guarded grouped aggregate through the
@@ -372,36 +374,29 @@ TEST(ShardDeterminism, SelectionToggleInvariantAcrossThreads) {
       }
     }
 
-    dbt::SetSelectionEnabled(true);
     runtime::shard_pool().set_threads(1);
     auto ref_program = compiler::CompileQuery(cat, "q", query);
     ASSERT_TRUE(ref_program.ok());
     runtime::Engine reference(std::move(ref_program).value());
-    for (const Event& ev : events) ASSERT_TRUE(reference.OnEvent(ev).ok());
-    auto ref_view = reference.View("q");
-    ASSERT_TRUE(ref_view.ok());
-    const std::string want = Canon(ref_view.value());
+    const RunOutput want = RunPerEvent(&reference, events);
 
     for (size_t batch : {size_t{16}, size_t{1024}}) {
-      for (bool selection : {true, false}) {
-        RunOutput at_one;
-        for (size_t threads : {size_t{1}, size_t{8}}) {
-          dbt::SetSelectionEnabled(selection);
-          runtime::shard_pool().set_threads(threads);
-          auto program = compiler::CompileQuery(cat, "q", query);
-          ASSERT_TRUE(program.ok());
-          runtime::Engine engine(std::move(program).value());
-          RunOutput out = RunBatched(&engine, events, batch);
-          EXPECT_EQ(out.view, want) << "batch=" << batch
-                                    << " selection=" << selection
-                                    << " threads=" << threads;
-          if (threads == 1) {
-            at_one = out;
-          } else {
-            EXPECT_EQ(out.state_bytes, at_one.state_bytes)
-                << "batch=" << batch << " selection=" << selection
-                << " threads=" << threads;
-          }
+      RunOutput at_one;
+      for (size_t threads : {size_t{1}, size_t{8}}) {
+        runtime::shard_pool().set_threads(threads);
+        auto program = compiler::CompileQuery(cat, "q", query);
+        ASSERT_TRUE(program.ok());
+        runtime::Engine engine(std::move(program).value());
+        RunOutput out = RunBatched(&engine, events, batch);
+        EXPECT_EQ(out.view, want.view)
+            << "batch=" << batch << " threads=" << threads;
+        EXPECT_EQ(out.state_bytes, want.state_bytes)
+            << "batch=" << batch << " threads=" << threads;
+        if (threads == 1) {
+          at_one = out;
+        } else {
+          EXPECT_EQ(out.state_bytes, at_one.state_bytes)
+              << "batch=" << batch << " threads=" << threads;
         }
       }
     }

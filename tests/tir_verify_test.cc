@@ -120,6 +120,9 @@ struct MicroCase {
   const char* sql;
 };
 
+// Test names print the label, not the struct's pointer bytes.
+void PrintTo(const MicroCase& c, std::ostream* os) { *os << c.label; }
+
 class MicroQueryVerifies : public ::testing::TestWithParam<MicroCase> {};
 
 TEST_P(MicroQueryVerifies, NoErrors) {

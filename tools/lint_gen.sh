@@ -26,6 +26,10 @@
 #   7. serving surface — every generated program overrides
 #      publish_snapshot(), the one-pass rendering hook the concurrent
 #      snapshot-serving tier uses to publish epoch-stamped views.
+#   8. one typed batch path — no header reads a batch group through the
+#      g.row() shim or consults a process-wide selection toggle; the ingest
+#      boundary coerces every lane onto the schema, so on_batch_<R> scans
+#      typed lanes only, and selection always runs.
 #
 # Usage: tools/lint_gen.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -76,6 +80,12 @@ for q in $QUERIES; do
   if [ -n "$vecbody" ] && \
      echo "$vecbody" | grep -nE 'g\.row\(|for \(size_t i = 0; i < n;' >&2; then
     echo "lint_gen: FAIL — $q.hpp vec handler iterates the raw group instead of a selection vector" >&2
+    fail=1
+  fi
+
+  # One typed batch path: no row-shim fallback, no selection toggle.
+  if grep -nE 'g\.row\(|Selection[E]nabled' "$hpp" >&2; then
+    echo "lint_gen: FAIL — $q.hpp reads a group through g.row() or a selection toggle" >&2
     fail=1
   fi
 

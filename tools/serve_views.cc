@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -30,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_scripts.h"
 #include "bench/gen/mm.hpp"
 #include "src/common/rng.h"
 #include "src/compiler/compile.h"
@@ -44,36 +44,6 @@ using runtime::EventBatch;
 using runtime::StreamEngine;
 using runtime::ViewSnapshot;
 using runtime::ViewSubscriber;
-
-struct ScriptCase {
-  std::string name;
-  Catalog catalog;
-  std::string sql;
-};
-
-bool LoadScript(const std::string& name, ScriptCase* out) {
-  out->name = name;
-  const std::string path = std::string(DBT_QUERY_DIR) + "/" + name + ".sql";
-  std::ifstream f(path);
-  if (!f.good()) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream ss;
-  ss << f.rdbuf();
-  auto script = sql::ParseScript(ss.str());
-  if (!script.ok()) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                 script.status().ToString().c_str());
-    return false;
-  }
-  for (const sql::CreateTableStmt& t : script.value().tables) {
-    if (!out->catalog.AddRelation(t).ok()) return false;
-  }
-  if (script.value().queries.size() != 1) return false;
-  out->sql = script.value().queries[0].select->ToString();
-  return true;
-}
 
 /// Seeded mixed insert/delete stream; all-int mm columns, bounded key space
 /// so views stay small while churn stays high.
@@ -105,14 +75,6 @@ std::vector<EventBatch> MakeStream(const Catalog& catalog, uint64_t seed,
     }
   }
   return batches;
-}
-
-EventBatch CopyBatch(const EventBatch& src) {
-  EventBatch out;
-  for (const EventBatch::Group& g : src.groups()) {
-    for (size_t i = 0; i < g.rows; ++i) out.Add(g.kind, g.relation, g.RowAt(i));
-  }
-  return out;
 }
 
 struct EngineInstance {
@@ -217,7 +179,7 @@ RunResult RunConfig(const std::string& kind, const ScriptCase& sc,
   const auto t0 = std::chrono::steady_clock::now();
   bool writer_ok = true;
   for (const EventBatch& b : stream) {
-    if (!engine->ApplyBatch(CopyBatch(b)).ok()) {
+    if (!engine->ApplyBatch(EventBatch(b)).ok()) {
       writer_ok = false;
       break;
     }

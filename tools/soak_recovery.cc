@@ -19,12 +19,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_scripts.h"
 #include "bench/gen/mm.hpp"
 #include "bench/gen/q3s.hpp"
 #include "bench/gen/revenue.hpp"
@@ -44,36 +44,6 @@ using runtime::BatchLogWriter;
 using runtime::EventBatch;
 using runtime::StreamEngine;
 
-struct ScriptCase {
-  std::string name;
-  Catalog catalog;
-  std::string sql;
-};
-
-bool LoadScript(const std::string& name, ScriptCase* out) {
-  out->name = name;
-  const std::string path = std::string(DBT_QUERY_DIR) + "/" + name + ".sql";
-  std::ifstream f(path);
-  if (!f.good()) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream ss;
-  ss << f.rdbuf();
-  auto script = sql::ParseScript(ss.str());
-  if (!script.ok()) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                 script.status().ToString().c_str());
-    return false;
-  }
-  for (const sql::CreateTableStmt& t : script.value().tables) {
-    if (!out->catalog.AddRelation(t).ok()) return false;
-  }
-  if (script.value().queries.size() != 1) return false;
-  out->sql = script.value().queries[0].select->ToString();
-  return true;
-}
-
 std::unique_ptr<dbt::StreamProgram> MakeGenerated(const std::string& name) {
   if (name == "vwap") return std::make_unique<dbtoaster_gen::vwap_Program>();
   if (name == "mm") return std::make_unique<dbtoaster_gen::mm_Program>();
@@ -82,68 +52,6 @@ std::unique_ptr<dbt::StreamProgram> MakeGenerated(const std::string& name) {
     return std::make_unique<dbtoaster_gen::revenue_Program>();
   }
   return nullptr;
-}
-
-Value RandomValue(Rng* rng, Type type) {
-  switch (type) {
-    case Type::kInt:
-      return Value(rng->Range(0, 7));
-    case Type::kDouble: {
-      static const double kPool[] = {0.04, 0.05, 0.06, 0.07, 0.10, 1.5, 20.0};
-      return Value(kPool[rng->Uniform(std::size(kPool))]);
-    }
-    case Type::kString: {
-      static const char* kPool[] = {"BUILDING", "AUTOMOBILE", "MAIL", "SHIP",
-                                    "RAIL",     "1-URGENT",   "2-HIGH"};
-      return Value(std::string(kPool[rng->Uniform(std::size(kPool))]));
-    }
-    case Type::kDate: {
-      const int64_t lo = CivilToDays(1993, 6, 1);
-      const int64_t hi = CivilToDays(1995, 6, 30);
-      return Value(lo + rng->Range(0, hi - lo));
-    }
-  }
-  return Value(int64_t{0});
-}
-
-std::vector<EventBatch> MakeStream(const Catalog& catalog, uint64_t seed,
-                                   size_t num_batches) {
-  Rng rng(seed);
-  std::map<std::string, std::vector<Row>> live;
-  std::vector<std::string> rels;
-  for (const Schema& s : catalog.relations()) rels.push_back(s.name());
-  const size_t kBatchSizes[] = {1, 7, 64, 150};
-  std::vector<EventBatch> batches(num_batches);
-  for (size_t b = 0; b < num_batches; ++b) {
-    const size_t batch_size = kBatchSizes[b % std::size(kBatchSizes)];
-    for (size_t ev = 0; ev < batch_size; ++ev) {
-      const std::string& rel = rels[rng.Uniform(rels.size())];
-      std::vector<Row>& rows = live[rel];
-      if (!rows.empty() && rng.Chance(0.35)) {
-        size_t pick = rng.Uniform(rows.size());
-        Row victim = rows[pick];
-        rows.erase(rows.begin() + static_cast<long>(pick));
-        batches[b].AddDelete(rel, victim);
-      } else {
-        const Schema* schema = catalog.FindRelation(rel);
-        Row tuple;
-        for (size_t c = 0; c < schema->num_columns(); ++c) {
-          tuple.push_back(RandomValue(&rng, schema->column_type(c)));
-        }
-        rows.push_back(tuple);
-        batches[b].AddInsert(rel, tuple);
-      }
-    }
-  }
-  return batches;
-}
-
-EventBatch CopyBatch(const EventBatch& src) {
-  EventBatch out;
-  for (const EventBatch::Group& g : src.groups()) {
-    for (size_t i = 0; i < g.rows; ++i) out.Add(g.kind, g.relation, g.RowAt(i));
-  }
-  return out;
 }
 
 struct EngineInstance {
@@ -230,7 +138,7 @@ bool RunIteration(const ScriptCase& sc, const std::string& kind,
     return false;
   }
   for (size_t i = 0; i < kBatches; ++i) {
-    Status st = reference.engine->ApplyBatch(CopyBatch(batches[i]));
+    Status st = reference.engine->ApplyBatch(EventBatch(batches[i]));
     if (!st.ok()) {
       std::fprintf(stderr, "[%s] reference apply: %s\n", label.c_str(),
                    st.ToString().c_str());
@@ -246,7 +154,7 @@ bool RunIteration(const ScriptCase& sc, const std::string& kind,
     w.set_sync_every(1 + rng.Uniform(4));
     for (size_t i = 0; i < crash_at; ++i) {
       if (!w.Append(i + 1, batches[i]).ok()) return false;
-      if (!victim.engine->ApplyBatch(CopyBatch(batches[i])).ok()) return false;
+      if (!victim.engine->ApplyBatch(EventBatch(batches[i])).ok()) return false;
       if (rng.Chance(0.3)) {
         // With --faults, sometimes kill the checkpoint between the tmp-file
         // fsync and the rename: the write fails, a .tmp is left behind, and
@@ -344,7 +252,7 @@ bool RunIteration(const ScriptCase& sc, const std::string& kind,
     return false;
   }
   for (size_t i = recovered_to; i < kBatches; ++i) {
-    if (!recovered.engine->ApplyBatch(CopyBatch(batches[i])).ok()) {
+    if (!recovered.engine->ApplyBatch(EventBatch(batches[i])).ok()) {
       ++stats->failures;
       return false;
     }
