@@ -1,6 +1,6 @@
 // Shared helpers for the bakeoff benchmark binaries: the standard engine
 // lineup behind the unified StreamEngine API, time-budgeted event/batch
-// runs and table printing.
+// runs that count rejected ingest calls, and table printing.
 #ifndef DBTOASTER_BENCH_BENCH_COMMON_H_
 #define DBTOASTER_BENCH_BENCH_COMMON_H_
 
@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,11 +28,21 @@ inline double NowSeconds() {
       .count();
 }
 
+/// One time-budgeted run: the events fed, the wall time, and the ingest
+/// calls the engine refused with a non-OK Status (a refused event is still
+/// counted in `events`, so a run with rejections measures nothing).
+struct Timed {
+  size_t events = 0;
+  double seconds = 0;
+  size_t rejected = 0;
+};
+
 struct RunResult {
   std::string engine;
   std::string query;
   size_t events = 0;
   double seconds = 0;
+  size_t rejected = 0;
   size_t state_bytes = 0;
   bool supported = true;
 
@@ -40,40 +51,29 @@ struct RunResult {
   }
 };
 
-/// Process events through `step` until the stream ends or `budget_s`
-/// elapses; returns (#events, seconds). Checks the clock every 64 events so
-/// slow engines stop promptly and fast engines aren't timer-bound.
-template <typename Step>
-std::pair<size_t, double> TimedRun(const std::vector<Event>& events,
-                                   double budget_s, Step&& step) {
-  double start = NowSeconds();
-  size_t i = 0;
-  for (; i < events.size(); ++i) {
-    step(events[i]);
-    if ((i & 63u) == 63u && NowSeconds() - start > budget_s) {
-      ++i;
-      break;
-    }
+/// Drive any StreamEngine one event at a time until the stream ends or
+/// `budget_s` elapses. Checks the clock every 64 events so slow engines
+/// stop promptly and fast engines aren't timer-bound.
+inline Timed TimedEngineRun(const std::vector<Event>& events, double budget_s,
+                            runtime::StreamEngine* engine) {
+  Timed out;
+  const double start = NowSeconds();
+  while (out.events < events.size()) {
+    if (!engine->OnEvent(events[out.events++]).ok()) ++out.rejected;
+    if ((out.events & 63u) == 0 && NowSeconds() - start > budget_s) break;
   }
-  return {i, NowSeconds() - start};
-}
-
-/// Drive any StreamEngine one event at a time.
-inline std::pair<size_t, double> TimedEngineRun(
-    const std::vector<Event>& events, double budget_s,
-    runtime::StreamEngine* engine) {
-  return TimedRun(events, budget_s,
-                  [&](const Event& ev) { (void)engine->OnEvent(ev); });
+  out.seconds = NowSeconds() - start;
+  return out;
 }
 
 /// Drive any StreamEngine in batches of `batch_size` events. Batch assembly
 /// is inside the measured loop (it is part of the ingestion cost); the
 /// clock is checked every >= 64 events regardless of batch size so small
 /// batches aren't timer-bound.
-inline std::pair<size_t, double> TimedBatchRun(
-    const std::vector<Event>& events, double budget_s, size_t batch_size,
-    runtime::StreamEngine* engine) {
-  double start = NowSeconds();
+inline Timed TimedBatchRun(const std::vector<Event>& events, double budget_s,
+                           size_t batch_size, runtime::StreamEngine* engine) {
+  Timed out;
+  const double start = NowSeconds();
   size_t i = 0, next_check = 63;
   while (i < events.size()) {
     runtime::EventBatch batch;
@@ -81,13 +81,15 @@ inline std::pair<size_t, double> TimedBatchRun(
     for (; i < end; ++i) {
       batch.Add(events[i].kind, events[i].relation, events[i].tuple);
     }
-    (void)engine->ApplyBatch(std::move(batch));
+    if (!engine->ApplyBatch(std::move(batch)).ok()) ++out.rejected;
     if (i > next_check) {
       if (NowSeconds() - start > budget_s) break;
       next_check = i + 63;
     }
   }
-  return {i, NowSeconds() - start};
+  out.events = i;
+  out.seconds = NowSeconds() - start;
+  return out;
 }
 
 /// One engine of the standard bakeoff lineup; `engine` is null when the
@@ -141,6 +143,22 @@ inline std::vector<BakeoffEntry> MakeBakeoffEngines(
   return out;
 }
 
+/// The events of `events` on relations the compiled program declares: the
+/// one stream all four engines of a bakeoff row are fed, so no engine is
+/// timed on events another one refuses.
+inline std::vector<Event> DeclaredEvents(const std::vector<Event>& events,
+                                         const dbt::StreamProgram& program) {
+  std::set<std::string> declared;
+  for (const dbt::RelationSchema& r : program.relation_schemas()) {
+    declared.insert(r.name);
+  }
+  std::vector<Event> out;
+  for (const Event& ev : events) {
+    if (declared.count(ev.relation) != 0) out.push_back(ev);
+  }
+  return out;
+}
+
 inline void PrintHeader(const char* title) {
   std::printf("\n== %s ==\n", title);
   std::printf("%-14s %-12s %12s %10s %14s %14s\n", "query", "engine",
@@ -157,6 +175,37 @@ inline void PrintRow(const RunResult& r) {
   std::printf("%-14s %-12s %12zu %10.3f %14.0f %14.1f\n", r.query.c_str(),
               r.engine.c_str(), r.events, r.seconds, r.EventsPerSec(),
               static_cast<double>(r.state_bytes) / 1024.0);
+  if (r.rejected > 0) {
+    std::fprintf(stderr, "%s %s: %zu of %zu events rejected\n",
+                 r.query.c_str(), r.engine.c_str(), r.rejected, r.events);
+  }
+}
+
+/// Time every engine of the lineup on one query, one event at a time over
+/// the events its compiled program declares, and print a row per engine.
+/// Returns the number of events the engines rejected.
+inline size_t RunBakeoffQuery(const Catalog& catalog, const std::string& query,
+                              const std::string& sql,
+                              dbt::StreamProgram* compiled,
+                              const std::vector<Event>& events,
+                              double budget_s) {
+  const std::vector<Event> stream = DeclaredEvents(events, *compiled);
+  size_t rejected = 0;
+  for (BakeoffEntry& entry : MakeBakeoffEngines(catalog, sql, compiled)) {
+    RunResult r{.engine = entry.name, .query = query};
+    if (entry.engine != nullptr) {
+      const Timed t = TimedEngineRun(stream, budget_s, entry.engine.get());
+      r.events = t.events;
+      r.seconds = t.seconds;
+      r.rejected = t.rejected;
+      r.state_bytes = entry.engine->StateBytes();
+      rejected += t.rejected;
+    } else {
+      r.supported = false;
+    }
+    PrintRow(r);
+  }
+  return rejected;
 }
 
 }  // namespace dbtoaster::bench

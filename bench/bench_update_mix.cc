@@ -56,6 +56,8 @@ struct Cell {
 };
 
 std::vector<Cell> g_cells;
+/// Ingest calls any engine refused (a non-zero total fails the run).
+size_t g_rejected = 0;
 
 void RunMixSweep(bool quick) {
   Catalog catalog = workload::OrderBookCatalog();
@@ -76,11 +78,13 @@ void RunMixSweep(bool quick) {
     auto program =
         compiler::CompileQuery(catalog, "q", workload::MarketMakerQuery());
     runtime::Engine interpreted(std::move(program).value());
-    auto [n1, s1] = TimedEngineRun(events, quick ? 0.2 : 1.5, &interpreted);
+    auto [n1, s1, r1] =
+        TimedEngineRun(events, quick ? 0.2 : 1.5, &interpreted);
 
     dbtoaster_gen::mm_Program generated;
     runtime::CompiledProgramEngine compiled(&generated);
-    auto [n2, s2] = TimedEngineRun(events, quick ? 0.2 : 1.5, &compiled);
+    auto [n2, s2, r2] = TimedEngineRun(events, quick ? 0.2 : 1.5, &compiled);
+    g_rejected += r1 + r2;
 
     std::printf("%8.0f %8.0f %8.0f | %14.0f %14.0f\n",
                 (1.0 - mix.modify - mix.withdraw) * 100, mix.modify * 100,
@@ -122,7 +126,9 @@ void RunBatchSweep(bool quick) {
         std::printf(" %18s", "n/a");
         continue;
       }
-      auto [n, s] = TimedBatchRun(events, kBudget, bs, engine.get());
+      auto [n, s, rejected] =
+          TimedBatchRun(events, kBudget, bs, engine.get());
+      g_rejected += rejected;
       double rate = s > 0 ? static_cast<double>(n) / s : 0;
       if (bs == 1) rate_1 = rate;
       rate_max = rate;
@@ -171,7 +177,9 @@ void RunThreadSweep(bool quick) {
           std::printf(" %15s", "n/a");
           continue;
         }
-        auto [n, s] = TimedBatchRun(events, kBudget, bs, engine.get());
+        auto [n, s, rejected] =
+            TimedBatchRun(events, kBudget, bs, engine.get());
+        g_rejected += rejected;
         double rate = s > 0 ? static_cast<double>(n) / s : 0;
         if (threads == 1) rate_1 = rate;
         rate_last = rate;
@@ -311,7 +319,9 @@ void RunFragmentSweep(bool quick) {
           std::printf(" %18s", "n/a");
           continue;
         }
-        auto [n, s] = TimedBatchRun(events, kBudget, bs, engine.get());
+        auto [n, s, rejected] =
+            TimedBatchRun(events, kBudget, bs, engine.get());
+        g_rejected += rejected;
         double rate = s > 0 ? static_cast<double>(n) / s : 0;
         g_cells.push_back(Cell{std::string("fragment-") + name, engine_name,
                                bs, 1, n, s});
@@ -375,7 +385,8 @@ void RunSelectionPrologueSweep(bool quick) {
     for (size_t bs : kBatchSizes) {
       std::unique_ptr<dbt::StreamProgram> generated = FragmentProgram(name);
       runtime::CompiledProgramEngine engine(generated.get());
-      auto [n, s] = TimedBatchRun(events, kBudget, bs, &engine);
+      auto [n, s, rejected] = TimedBatchRun(events, kBudget, bs, &engine);
+      g_rejected += rejected;
       Cell cell{std::string("prologue-") + name, engine.Name(), bs, 1, n, s};
       cell.selected_rows = generated->selected_rows();
       cell.probe_runs = generated->probe_runs();
@@ -433,7 +444,8 @@ void RunSelectivitySweep(bool quick) {
     std::vector<Event> events = make_stream(hit);
     std::unique_ptr<dbt::StreamProgram> generated = FragmentProgram("q6s");
     runtime::CompiledProgramEngine engine(generated.get());
-    auto [n, s] = TimedBatchRun(events, kBudget, kBatch, &engine);
+    auto [n, s, rejected] = TimedBatchRun(events, kBudget, kBatch, &engine);
+    g_rejected += rejected;
     Cell cell{"selectivity-q6s", engine.Name(), kBatch, 1, n, s};
     cell.selectivity = hit;
     cell.selected_rows = generated->selected_rows();
@@ -500,5 +512,10 @@ int main(int argc, char** argv) {
   dbtoaster::bench::RunFragmentSweep(quick);
   dbtoaster::bench::RunSelectionPrologueSweep(quick);
   dbtoaster::bench::RunSelectivitySweep(quick);
+  if (dbtoaster::bench::g_rejected > 0) {
+    std::fprintf(stderr, "%zu ingest calls rejected\n",
+                 dbtoaster::bench::g_rejected);
+    return 1;
+  }
   return dbtoaster::bench::WriteJson(out_path) ? 0 : 1;
 }

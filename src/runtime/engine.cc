@@ -1,6 +1,7 @@
 #include "src/runtime/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -84,11 +85,15 @@ struct SelectionClasses {
     }
   }
 
-  /// Survivor indices per class over `rows` (row indices into `tuples`).
-  std::vector<std::vector<uint32_t>> Select(
-      const Row* tuples, const std::vector<uint32_t>& rows) const {
-    std::vector<std::vector<uint32_t>> sel(preds.size());
+  /// Survivor indices per class over `rows` (row indices into `tuples`),
+  /// written into (*sel)[0, classes) so its buffers are reused across chunks
+  /// and groups.
+  void Select(const Row* tuples, const std::vector<uint32_t>& rows,
+              std::vector<std::vector<uint32_t>>* sel) const {
+    if (sel->size() < preds.size()) sel->resize(preds.size());
     for (size_t c = 0; c < preds.size(); ++c) {
+      std::vector<uint32_t>& out = (*sel)[c];
+      out.clear();
       for (uint32_t i : rows) {
         bool pass = true;
         for (const tir::PredSpec& ps : *preds[c]) {
@@ -97,10 +102,49 @@ struct SelectionClasses {
             break;
           }
         }
-        if (pass) sel[c].push_back(i);
+        if (pass) out.push_back(i);
       }
     }
-    return sel;
+  }
+};
+
+/// The rows of one chunk over the fixed logical shards, as indices into the
+/// group's tuples. Row order within a shard preserves group order, so
+/// per-shard replay is deterministic and independent of the worker count.
+struct ShardPlan {
+  std::array<std::vector<uint32_t>, kNumShards> shards;
+  size_t used = 1;  ///< shards [0, used) hold the chunk
+
+  /// One shard holding rows [begin, end) in group order.
+  void Whole(size_t begin, size_t end) {
+    used = 1;
+    shards[0].clear();
+    for (size_t i = begin; i < end; ++i) {
+      shards[0].push_back(static_cast<uint32_t>(i));
+    }
+  }
+
+  /// Rows [begin, end) by finalized hash of the partition columns, or of
+  /// the whole tuple when no partition-key subset was derivable.
+  void Partition(const Row* tuples, size_t begin, size_t end,
+                 const std::vector<size_t>& partition_cols) {
+    used = kNumShards;
+    for (std::vector<uint32_t>& shard : shards) {
+      shard.clear();
+      shard.reserve((end - begin) / kNumShards + 4);
+    }
+    for (size_t i = begin; i < end; ++i) {
+      size_t h;
+      if (partition_cols.empty()) {
+        h = RowHash{}(tuples[i]);
+      } else {
+        h = kHashSeed;
+        for (size_t c : partition_cols) {
+          h = HashCombine(h, tuples[i][c].Hash());
+        }
+      }
+      shards[dbt::ShardOfHash(h)].push_back(static_cast<uint32_t>(i));
+    }
   }
 };
 }  // namespace
@@ -473,331 +517,184 @@ std::vector<ProfileStats::StatementStats*> Engine::ResolveStats(
   return stats;
 }
 
-Status Engine::ApplyGroupSequential(const tir::Trigger& trigger,
-                                    EventKind kind, const Row* tuples,
-                                    size_t count, DeferredReevals* deferred) {
-  std::vector<ProfileStats::StatementStats*> stats = ResolveStats(trigger);
+Status Engine::ApplyGroup(const std::string& relation, EventKind kind,
+                          const Row* tuples, size_t count,
+                          DeferredReevals* deferred) {
+  if (count == 0) return Status::OK();
+  const uint64_t start = NowNanos();
+  const tir::Trigger* trigger = tir_.FindTrigger(relation);
+  if (trigger == nullptr || !(kind == EventKind::kInsert
+                                  ? trigger->has_insert
+                                  : trigger->has_delete)) {
+    // No trigger for this (relation, op): the events still update the
+    // base-table snapshot.
+    for (size_t e = 0; e < count; ++e) {
+      if (trace_ != nullptr) trace_->OnEvent(Event{kind, relation, tuples[e]});
+      DBT_RETURN_IF_ERROR(db_.Apply(kind, relation, tuples[e]));
+    }
+    profile_.events += count;
+    profile_.event_nanos += NowNanos() - start;
+    return Status::OK();
+  }
+  const tir::Trigger& t = *trigger;
+
+  // Per-group setup: profiler slots, the statements this op runs in each
+  // phase (statically-zero deltas never fire), and the selection classes of
+  // the deltas' extracted guards.
+  const std::vector<ProfileStats::StatementStats*> stats = ResolveStats(t);
   const int sign = kind == EventKind::kInsert ? +1 : -1;
+  std::vector<const tir::Stmt*> deltas;
+  std::vector<size_t> delta_si, extreme_si, reeval_si;
+  for (size_t si = 0; si < t.stmts.size(); ++si) {
+    const tir::Stmt& s = t.stmts[si];
+    if (!StmtActive(s, kind)) continue;
+    if (s.stmt.kind == Statement::Kind::kDelta && !s.statically_zero) {
+      deltas.push_back(&s);
+      delta_si.push_back(si);
+    } else if (s.stmt.kind == Statement::Kind::kExtreme) {
+      extreme_si.push_back(si);
+    } else if (s.stmt.kind == Statement::Kind::kReeval) {
+      reeval_si.push_back(si);
+    }
+  }
+  const SelectionClasses classes(deltas);
 
-  Bindings env;
-  env[tir::kSignVar] = Value(static_cast<int64_t>(sign));
-  for (size_t e = 0; e < count; ++e) {
-    const Row& tuple = tuples[e];
+  // A chunk is the whole group when every statement may read the group
+  // pre-state (the trigger's IR analysis); otherwise, and always under a
+  // trace sink, it is one event. The shard plan depends on the chunk's size
+  // alone, never on the pool's thread count, so a batch sequence yields the
+  // same state at every thread count (threads=1 runs the shards inline).
+  const size_t chunk = t.vectorizable && trace_ == nullptr ? count : 1;
+  const bool partitioned =
+      t.parallel_safe && chunk >= dbt::kShardBatchCutoff;
+  for (size_t s = 0; s < (partitioned ? kNumShards : 1); ++s) {
+    ShardScratch& sc = scratch_[s];
+    sc.env.clear();
+    sc.env[tir::kSignVar] = Value(static_cast<int64_t>(sign));
+    if (sc.pending.size() < deltas.size()) {  // never shrunk: buffers stay
+      sc.pending.resize(deltas.size());
+      sc.executions.resize(deltas.size());
+      sc.nanos.resize(deltas.size());
+    }
+  }
+  auto bind = [&](Bindings* env, const Row& tuple) {
+    for (size_t p = 0; p < t.params.size(); ++p) {
+      (*env)[t.params[p].name] = tuple[p];
+    }
+  };
+
+  // Phase 1 of one shard: select, then evaluate each delta statement over
+  // the shard's surviving rows against the pre-state (reads only) into the
+  // shard's per-statement pendings. Selection runs after the shard split,
+  // so per-shard work, and therefore the merged state, does not depend on
+  // the pool's thread count.
+  ShardPlan plan;
+  auto eval_shard = [&](size_t s) {
+    ShardScratch& sc = scratch_[s];
+    sc.status = Status::OK();
+    classes.Select(tuples, plan.shards[s], &sc.sel);
+    for (size_t d = 0; d < deltas.size(); ++d) {
+      const std::vector<uint32_t>& rows = classes.cls[d] != SIZE_MAX
+                                              ? sc.sel[classes.cls[d]]
+                                              : plan.shards[s];
+      sc.pending[d].clear();
+      const uint64_t t0 = NowNanos();
+      for (uint32_t i : rows) {
+        bind(&sc.env, tuples[i]);
+        Status st = RunDeltaStatement(deltas[d]->stmt, sc.env, &sc.pending[d]);
+        if (!st.ok()) {
+          sc.status = std::move(st);
+          return;
+        }
+      }
+      sc.executions[d] = rows.size();
+      sc.nanos[d] = NowNanos() - t0;
+    }
+  };
+
+  const Bindings empty_env;
+  Bindings& env = scratch_[0].env;
+  for (size_t begin = 0; begin < count; begin += chunk) {
+    const size_t end = std::min(count, begin + chunk);
     if (trace_ != nullptr) {
-      trace_->OnEvent(Event{kind, trigger.relation, tuple});
-    }
-    for (size_t i = 0; i < trigger.params.size(); ++i) {
-      env[trigger.params[i].name] = tuple[i];
+      trace_->OnEvent(Event{kind, t.relation, tuples[begin]});
     }
 
-    // Phase 1: evaluate all delta statements against the pre-state.
-    pending_.clear();
-    for (size_t si = 0; si < trigger.stmts.size(); ++si) {
-      const tir::Stmt& s = trigger.stmts[si];
-      if (s.stmt.kind != Statement::Kind::kDelta || !StmtActive(s, kind)) {
-        continue;
+    // Shard plan and phase 1. Only a partitioned chunk touches the pool.
+    if (partitioned) {
+      profile_.sharded_groups++;
+      plan.Partition(tuples, begin, end, t.partition_cols);
+      parallel_region_ = true;
+      shard_pool().RunShards(kNumShards, eval_shard);
+      parallel_region_ = false;
+    } else {
+      plan.Whole(begin, end);
+      eval_shard(0);
+    }
+    for (size_t s = 0; s < plan.used; ++s) {
+      if (!scratch_[s].status.ok()) return scratch_[s].status;
+    }
+    for (size_t d = 0; d < deltas.size(); ++d) {
+      ProfileStats::StatementStats* st = stats[delta_si[d]];
+      for (size_t s = 0; s < plan.used; ++s) {
+        st->executions += scratch_[s].executions[d];
+        st->updates += scratch_[s].pending[d].size();
+        st->nanos += scratch_[s].nanos[d];  // CPU time, summed across shards
       }
-      uint64_t t0 = NowNanos();
-      size_t before = pending_.size();
-      DBT_RETURN_IF_ERROR(RunDeltaStatement(s.stmt, env, &pending_));
-      stats[si]->executions++;
-      stats[si]->updates += pending_.size() - before;
+    }
+
+    // Phase 2: base tables in group order, then the pendings
+    // statement-major in shard order. The plan fixes that sequence, and
+    // with it every map byte for byte.
+    for (size_t e = begin; e < end; ++e) {
+      DBT_RETURN_IF_ERROR(db_.Apply(kind, t.relation, tuples[e]));
+    }
+    for (size_t d = 0; d < deltas.size(); ++d) {
+      for (size_t s = 0; s < plan.used; ++s) {
+        for (auto& [target, key, value] : scratch_[s].pending[d]) {
+          if (trace_ == nullptr) {
+            ApplyMapAdd(target, key, value);
+            continue;
+          }
+          Value old_value = target->Get(key);
+          ApplyMapAdd(target, key, value);
+          trace_->OnMapUpdate(target->name(), key, old_value,
+                              target->Get(key));
+        }
+      }
+    }
+
+    // Phase 3: extreme (MIN/MAX multiset) statements over the post-state,
+    // per row in group order.
+    for (size_t si : extreme_si) {
+      const tir::Stmt& s = t.stmts[si];
+      const uint64_t t0 = NowNanos();
+      for (size_t e = begin; e < end; ++e) {
+        bind(&env, tuples[e]);
+        DBT_RETURN_IF_ERROR(RunExtremeStatement(
+            s.stmt, env, s.extreme_runtime_sign ? sign : s.stmt.extreme_sign));
+      }
+      stats[si]->executions += end - begin;
       stats[si]->nanos += NowNanos() - t0;
     }
 
-    // Phase 2: apply the event to the base tables, then the map deltas.
-    DBT_RETURN_IF_ERROR(db_.Apply(kind, trigger.relation, tuple));
-    for (auto& [target, key, value] : pending_) {
-      if (trace_ != nullptr) {
-        Value old_value = target->Get(key);
-        ApplyMapAdd(target, key, value);
-        trace_->OnMapUpdate(target->name(), key, old_value, target->Get(key));
-      } else {
-        ApplyMapAdd(target, key, value);
-      }
-    }
-
-    // Phase 2b: extreme (MIN/MAX multiset) statements over the post-state.
-    for (size_t si = 0; si < trigger.stmts.size(); ++si) {
-      const tir::Stmt& s = trigger.stmts[si];
-      if (s.stmt.kind != Statement::Kind::kExtreme || !StmtActive(s, kind)) {
-        continue;
-      }
-      uint64_t t0 = NowNanos();
-      DBT_RETURN_IF_ERROR(RunExtremeStatement(
-          s.stmt, env, s.extreme_runtime_sign ? sign : s.stmt.extreme_sign));
-      stats[si]->executions++;
-      stats[si]->nanos += NowNanos() - t0;
-    }
-
-    // Phase 3: hybrid re-evaluation statements over the post-state. They
+    // Phase 4: hybrid re-evaluation statements over the post-state. They
     // depend only on the maintained maps and base tables, never on the
-    // event parameters — an empty environment also prevents accidental
+    // event parameters; an empty environment also prevents accidental
     // capture of query variables that share a name with trigger parameters.
     // Statements whose target nothing reads are deferred to the batch end.
-    Bindings empty_env;
-    for (size_t si = 0; si < trigger.stmts.size(); ++si) {
-      const tir::Stmt& s = trigger.stmts[si];
-      if (s.stmt.kind != Statement::Kind::kReeval || !StmtActive(s, kind)) {
-        continue;
-      }
+    for (size_t si : reeval_si) {
+      const tir::Stmt& s = t.stmts[si];
       if (s.reeval_deferrable && trace_ == nullptr) {
         Defer(&s.stmt, &s.rendering, deferred);
         continue;
       }
-      uint64_t t0 = NowNanos();
+      const uint64_t t0 = NowNanos();
       DBT_RETURN_IF_ERROR(RunReevalStatement(s.stmt, empty_env));
       stats[si]->executions++;
       stats[si]->nanos += NowNanos() - t0;
     }
   }
-  return Status::OK();
-}
-
-Status Engine::ApplyGroupVectorized(const tir::Trigger& trigger,
-                                    EventKind kind, const Row* tuples,
-                                    size_t count, DeferredReevals* deferred) {
-  std::vector<ProfileStats::StatementStats*> stats = ResolveStats(trigger);
-  const int sign = kind == EventKind::kInsert ? +1 : -1;
-
-  // Phase 1: each delta statement runs once over the vector of bindings,
-  // all against the group pre-state (safe per the trigger's IR analysis).
-  // Statically-zero statements are dropped up front; extracted guards run
-  // once per distinct pred list as a selection prologue (the interpreter
-  // mirror of the generated vec_<R> handlers), and each guarded statement
-  // then visits only its surviving rows.
-  pending_.clear();
-  Bindings env;
-  env[tir::kSignVar] = Value(static_cast<int64_t>(sign));
-  std::vector<const tir::Stmt*> deltas;
-  std::vector<size_t> delta_si;
-  for (size_t si = 0; si < trigger.stmts.size(); ++si) {
-    const tir::Stmt& s = trigger.stmts[si];
-    if (s.stmt.kind != Statement::Kind::kDelta || !StmtActive(s, kind) ||
-        s.statically_zero) {
-      continue;
-    }
-    deltas.push_back(&s);
-    delta_si.push_back(si);
-  }
-  std::vector<uint32_t> all(count);
-  for (size_t e = 0; e < count; ++e) all[e] = static_cast<uint32_t>(e);
-  SelectionClasses classes(deltas);
-  const std::vector<std::vector<uint32_t>> sel = classes.Select(tuples, all);
-
-  for (size_t d = 0; d < deltas.size(); ++d) {
-    const tir::Stmt& s = *deltas[d];
-    const size_t si = delta_si[d];
-    uint64_t t0 = NowNanos();
-    size_t before = pending_.size();
-    const std::vector<uint32_t>& rows =
-        classes.cls[d] != SIZE_MAX ? sel[classes.cls[d]] : all;
-    for (uint32_t e : rows) {
-      for (size_t i = 0; i < trigger.params.size(); ++i) {
-        env[trigger.params[i].name] = tuples[e][i];
-      }
-      DBT_RETURN_IF_ERROR(RunDeltaStatement(s.stmt, env, &pending_));
-    }
-    stats[si]->executions += rows.size();
-    stats[si]->updates += pending_.size() - before;
-    stats[si]->nanos += NowNanos() - t0;
-  }
-
-  // Phase 2: flush the whole group — base tables first, then the map
-  // deltas (additive, so application order within the group is free).
-  for (size_t e = 0; e < count; ++e) {
-    DBT_RETURN_IF_ERROR(db_.Apply(kind, trigger.relation, tuples[e]));
-  }
-  for (auto& [target, key, value] : pending_) ApplyMapAdd(target, key, value);
-
-  // Phase 2b: extreme statements (parameter-only, order-independent).
-  for (size_t si = 0; si < trigger.stmts.size(); ++si) {
-    const tir::Stmt& s = trigger.stmts[si];
-    if (s.stmt.kind != Statement::Kind::kExtreme || !StmtActive(s, kind)) {
-      continue;
-    }
-    uint64_t t0 = NowNanos();
-    for (size_t e = 0; e < count; ++e) {
-      for (size_t i = 0; i < trigger.params.size(); ++i) {
-        env[trigger.params[i].name] = tuples[e][i];
-      }
-      DBT_RETURN_IF_ERROR(RunExtremeStatement(
-          s.stmt, env, s.extreme_runtime_sign ? sign : s.stmt.extreme_sign));
-    }
-    stats[si]->executions += count;
-    stats[si]->nanos += NowNanos() - t0;
-  }
-
-  // Phase 3: re-evaluation statements are all deferrable here (that is part
-  // of being vectorizable); they run once at the end of the batch.
-  for (const tir::Stmt& s : trigger.stmts) {
-    if (s.stmt.kind != Statement::Kind::kReeval || !StmtActive(s, kind)) {
-      continue;
-    }
-    Defer(&s.stmt, &s.rendering, deferred);
-  }
-  return Status::OK();
-}
-
-Status Engine::ApplyGroupSharded(const tir::Trigger& trigger, EventKind kind,
-                                 const Row* tuples, size_t count,
-                                 DeferredReevals* deferred) {
-  std::vector<ProfileStats::StatementStats*> stats = ResolveStats(trigger);
-  const int sign = kind == EventKind::kInsert ? +1 : -1;
-
-  std::vector<size_t> delta_stmts;
-  std::vector<const tir::Stmt*> deltas;
-  for (size_t si = 0; si < trigger.stmts.size(); ++si) {
-    if (trigger.stmts[si].stmt.kind == Statement::Kind::kDelta &&
-        StmtActive(trigger.stmts[si], kind) &&
-        !trigger.stmts[si].statically_zero) {
-      delta_stmts.push_back(si);
-      deltas.push_back(&trigger.stmts[si]);
-    }
-  }
-
-  profile_.sharded_groups++;
-  const ShardPlan plan =
-      ShardPlan::Partition(tuples, count, trigger.partition_cols);
-
-  // Phase 1 fan-out: each worker evaluates its shards' bindings against the
-  // shared pre-state (reads only; parallel_safe guarantees no initializer
-  // evaluation) into private per-statement pending vectors.
-  struct ShardOut {
-    std::vector<std::vector<std::tuple<ValueMap*, Row, Value>>> pending;
-    std::vector<uint64_t> nanos;
-    Status status = Status::OK();
-  };
-  std::array<ShardOut, kNumShards> outs;
-  for (ShardOut& out : outs) {
-    out.pending.resize(delta_stmts.size());
-    out.nanos.assign(delta_stmts.size(), 0);
-  }
-
-  const SelectionClasses classes(deltas);
-  parallel_region_ = true;
-  shard_pool().RunShards(kNumShards, [&](size_t s) {
-    ShardOut& out = outs[s];
-    Bindings env;
-    env[tir::kSignVar] = Value(static_cast<int64_t>(sign));
-    // Selection runs after the shard split: guards filter this worker's
-    // private sub-range only, so per-shard work (and therefore the merged
-    // state) is independent of the pool's thread count.
-    const std::vector<std::vector<uint32_t>> sel =
-        classes.Select(tuples, plan.shards[s]);
-    for (size_t d = 0; d < delta_stmts.size(); ++d) {
-      const Statement& stmt = trigger.stmts[delta_stmts[d]].stmt;
-      const std::vector<uint32_t>& rows = classes.cls[d] != SIZE_MAX
-                                              ? sel[classes.cls[d]]
-                                              : plan.shards[s];
-      const uint64_t t0 = NowNanos();
-      for (uint32_t i : rows) {
-        const Row& tuple = tuples[i];
-        for (size_t p = 0; p < trigger.params.size(); ++p) {
-          env[trigger.params[p].name] = tuple[p];
-        }
-        Status st = RunDeltaStatement(stmt, env, &out.pending[d]);
-        if (!st.ok()) {
-          out.status = std::move(st);
-          out.nanos[d] += NowNanos() - t0;
-          return;
-        }
-      }
-      out.nanos[d] += NowNanos() - t0;
-    }
-  });
-  parallel_region_ = false;
-  for (const ShardOut& out : outs) {
-    if (!out.status.ok()) return out.status;
-  }
-
-  for (size_t d = 0; d < delta_stmts.size(); ++d) {
-    ProfileStats::StatementStats* st = stats[delta_stmts[d]];
-    st->executions += count;
-    for (const ShardOut& out : outs) {
-      st->updates += out.pending[d].size();
-      st->nanos += out.nanos[d];  // CPU time, summed across workers
-    }
-  }
-
-  // Merge: base tables in group order, then pendings statement-major in
-  // logical-shard order — fixed by the plan, so the application sequence
-  // (and therefore every map, byte for byte) is identical at any thread
-  // count, including the inline threads=1 run.
-  for (size_t e = 0; e < count; ++e) {
-    DBT_RETURN_IF_ERROR(db_.Apply(kind, trigger.relation, tuples[e]));
-  }
-  for (size_t d = 0; d < delta_stmts.size(); ++d) {
-    for (ShardOut& out : outs) {
-      for (auto& [target, key, value] : out.pending[d]) {
-        ApplyMapAdd(target, key, value);
-      }
-    }
-  }
-
-  // Phase 2b: extreme statements (parameter-only), in group order.
-  Bindings env;
-  env[tir::kSignVar] = Value(static_cast<int64_t>(sign));
-  for (size_t si = 0; si < trigger.stmts.size(); ++si) {
-    const tir::Stmt& s = trigger.stmts[si];
-    if (s.stmt.kind != Statement::Kind::kExtreme || !StmtActive(s, kind)) {
-      continue;
-    }
-    uint64_t t0 = NowNanos();
-    for (size_t e = 0; e < count; ++e) {
-      for (size_t p = 0; p < trigger.params.size(); ++p) {
-        env[trigger.params[p].name] = tuples[e][p];
-      }
-      DBT_RETURN_IF_ERROR(RunExtremeStatement(
-          s.stmt, env, s.extreme_runtime_sign ? sign : s.stmt.extreme_sign));
-    }
-    stats[si]->executions += count;
-    stats[si]->nanos += NowNanos() - t0;
-  }
-
-  // Phase 3: deferrable re-evaluations, once at batch end.
-  for (const tir::Stmt& s : trigger.stmts) {
-    if (s.stmt.kind != Statement::Kind::kReeval || !StmtActive(s, kind)) {
-      continue;
-    }
-    Defer(&s.stmt, &s.rendering, deferred);
-  }
-  return Status::OK();
-}
-
-Status Engine::ApplyGroup(const std::string& relation, EventKind kind,
-                          const Row* tuples, size_t count,
-                          DeferredReevals* deferred) {
-  if (count == 0) return Status::OK();
-  uint64_t start = NowNanos();
-  const tir::Trigger* trigger = tir_.FindTrigger(relation);
-  const bool has_side =
-      trigger != nullptr && (kind == EventKind::kInsert ? trigger->has_insert
-                                                        : trigger->has_delete);
-
-  Status status = Status::OK();
-  if (!has_side) {
-    // No trigger for this (relation, op): the event still updates the
-    // base-table snapshot.
-    for (size_t e = 0; e < count; ++e) {
-      if (trace_ != nullptr) trace_->OnEvent(Event{kind, relation, tuples[e]});
-      status = db_.Apply(kind, relation, tuples[e]);
-      if (!status.ok()) break;
-    }
-  } else if (trace_ == nullptr && trigger->vectorizable && count > 1) {
-    // The sharded path is chosen by group size alone — never by the pool's
-    // thread count — so a batch sequence produces identical state at every
-    // thread count (threads=1 runs the same shard order inline).
-    if (trigger->parallel_safe && count >= dbt::kShardBatchCutoff) {
-      status = ApplyGroupSharded(*trigger, kind, tuples, count, deferred);
-    } else {
-      status = ApplyGroupVectorized(*trigger, kind, tuples, count, deferred);
-    }
-  } else {
-    status = ApplyGroupSequential(*trigger, kind, tuples, count, deferred);
-  }
-
-  if (!status.ok()) return status;
   profile_.events += count;
   profile_.event_nanos += NowNanos() - start;
   return Status::OK();

@@ -4,13 +4,15 @@
 // profiler, and a step debugger (the paper's §2 system model).
 //
 // Implements the unified StreamEngine surface: ApplyBatch groups events by
-// (relation, op) and — when the trigger's statements permit — runs each
-// delta statement once over the whole vector of bindings against the batch
-// pre-state, flushing base-table updates and map/slice-index mutations per
-// batch instead of per event.
+// (relation, op) and runs each group as a sequence of chunks through one
+// phase pipeline. When the trigger's statements permit, a chunk is the whole
+// group: each delta statement runs once over the vector of bindings against
+// the group pre-state, and base-table updates and map/slice-index mutations
+// flush per group instead of per event.
 #ifndef DBTOASTER_RUNTIME_ENGINE_H_
 #define DBTOASTER_RUNTIME_ENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -31,8 +33,9 @@ namespace dbtoaster::runtime {
 
 /// Observer interface for the debugger/tracer: receives every event,
 /// statement execution and map update. Implementations must not mutate the
-/// engine. A registered sink forces per-event (non-vectorized) batch
-/// processing so callbacks keep their one-event granularity.
+/// engine. A registered sink makes every chunk one event long, so callbacks
+/// keep their one-event granularity in ApplyBatch too, and re-evaluation
+/// statements run per event instead of once per batch.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -49,6 +52,9 @@ class TraceSink {
 struct ProfileStats {
   struct StatementStats {
     std::string rendering;
+    /// Rows bound to the statement: for a delta statement the rows that
+    /// pass its extracted guards, for an extreme statement every row, for a
+    /// re-evaluation one per run.
     uint64_t executions = 0;
     uint64_t updates = 0;
     uint64_t nanos = 0;
@@ -56,7 +62,8 @@ struct ProfileStats {
   std::map<std::string, StatementStats> by_statement;  // keyed by rendering
   uint64_t events = 0;
   uint64_t event_nanos = 0;
-  /// Groups whose delta phase ran on the shard pool (parallel ApplyBatch).
+  /// Groups whose delta phase ran on a partitioned shard plan (parallel
+  /// ApplyBatch).
   uint64_t sharded_groups = 0;
 
   std::string ToString() const;
@@ -169,25 +176,14 @@ class Engine : public StreamEngine, public MapStore {
   Status RunExtremeStatement(const compiler::Statement& stmt,
                              const Bindings& env, int sign);
 
-  /// Process one (relation, op) group of `count` tuples; deferrable
-  /// re-evaluation statements are appended to `deferred` instead of run.
+  /// Process one (relation, op) group of `count` tuples as chunks (the
+  /// whole group, or one event each) through one phase pipeline: shard
+  /// plan, per-shard delta evaluation against the pre-state, base tables and
+  /// shard-order merge, then the extreme and re-evaluation statements.
+  /// Deferrable re-evaluations are appended to `deferred` instead of run.
   Status ApplyGroup(const std::string& relation, EventKind kind,
                     const Row* tuples, size_t count,
                     DeferredReevals* deferred);
-  Status ApplyGroupVectorized(const tir::Trigger& trigger, EventKind kind,
-                              const Row* tuples, size_t count,
-                              DeferredReevals* deferred);
-  /// Vectorized processing with the delta phase fanned out over the shard
-  /// pool: tuples are partitioned by target-key hash into the fixed logical
-  /// shards, each worker evaluates its shards' bindings against the batch
-  /// pre-state into private pending vectors, and the merge applies them in
-  /// shard order — the same order at every thread count.
-  Status ApplyGroupSharded(const tir::Trigger& trigger, EventKind kind,
-                           const Row* tuples, size_t count,
-                           DeferredReevals* deferred);
-  Status ApplyGroupSequential(const tir::Trigger& trigger, EventKind kind,
-                              const Row* tuples, size_t count,
-                              DeferredReevals* deferred);
   Status FlushDeferredReevals(DeferredReevals* deferred);
   void Defer(const compiler::Statement* stmt, const std::string* rendering,
              DeferredReevals* deferred);
@@ -204,7 +200,19 @@ class Engine : public StreamEngine, public MapStore {
   RingEvaluator eval_;
   TraceSink* trace_ = nullptr;
   ProfileStats profile_;
-  std::vector<std::tuple<ValueMap*, Row, Value>> pending_;  ///< scratch
+
+  /// Phase-1 scratch of one logical shard, reused across chunks and groups
+  /// (a one-shard chunk uses scratch_[0] only).
+  struct ShardScratch {
+    Bindings env;
+    std::vector<std::vector<uint32_t>> sel;  ///< survivors per pred class
+    /// Per active delta statement: pending map updates, rows bound, time.
+    std::vector<std::vector<std::tuple<ValueMap*, Row, Value>>> pending;
+    std::vector<size_t> executions;
+    std::vector<uint64_t> nanos;
+    Status status;
+  };
+  std::array<ShardScratch, kNumShards> scratch_;
   bool in_init_ = false;  ///< re-entrancy guard for init-on-access
 
   /// True while shard workers are evaluating phase 1: lazy slice-index

@@ -1,29 +1,11 @@
 #include "src/runtime/stream_engine.h"
 
+#include <array>
+
 #include "src/codegen/dbtoaster_runtime.h"
 #include "src/common/str.h"
 
 namespace dbtoaster::runtime {
-
-ShardPlan ShardPlan::Partition(const Row* tuples, size_t count,
-                               const std::vector<size_t>& partition_cols) {
-  ShardPlan plan;
-  const size_t reserve = count / kNumShards + 4;
-  for (auto& shard : plan.shards) shard.reserve(reserve);
-  for (size_t i = 0; i < count; ++i) {
-    size_t h;
-    if (partition_cols.empty()) {
-      h = RowHash{}(tuples[i]);
-    } else {
-      h = kHashSeed;
-      for (size_t c : partition_cols) {
-        h = HashCombine(h, tuples[i][c].Hash());
-      }
-    }
-    plan.shards[dbt::ShardOfHash(h)].push_back(static_cast<uint32_t>(i));
-  }
-  return plan;
-}
 
 void EventBatch::Group::Add(const Row& tuple) {
   dbt::AppendRow(cols, rows, defect, tuple.size(),

@@ -25,7 +25,6 @@
 #ifndef DBTOASTER_RUNTIME_STREAM_ENGINE_H_
 #define DBTOASTER_RUNTIME_STREAM_ENGINE_H_
 
-#include <array>
 #include <atomic>
 #include <deque>
 #include <map>
@@ -49,18 +48,6 @@ namespace dbtoaster::runtime {
 using ShardPool = dbt::ShardPool;
 inline ShardPool& shard_pool() { return dbt::shard_pool(); }
 inline constexpr size_t kNumShards = dbt::kNumShards;
-
-/// Partition of one (relation, op) group's tuples into the fixed logical
-/// shards, by finalized hash of the partition columns (or of the whole
-/// tuple when no partition-key subset was derivable). Tuple order within a
-/// shard preserves group order, so per-shard replay is deterministic and
-/// independent of the worker count.
-struct ShardPlan {
-  std::array<std::vector<uint32_t>, kNumShards> shards;
-
-  static ShardPlan Partition(const Row* tuples, size_t count,
-                             const std::vector<size_t>& partition_cols);
-};
 
 /// One batch of deltas, grouped per (relation, op) with per-group typed
 /// column storage: the columnar unit all engines ingest. Groups keep

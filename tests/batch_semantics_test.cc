@@ -87,11 +87,11 @@ struct BatchCase {
   double p_delete;
 };
 
-// Cases chosen to hit every batching path: the vectorized group loop
-// (fig2_join3, grouped), the sequential fallback for self-reading triggers
-// (self_join), extreme multisets under delete-heavy mixes (max_grouped,
-// min_global), and the hybrid/deferred-reeval path with slice indexes
-// (vwap_shape).
+// Cases chosen to hit every chunk shape of the interpreter's group path:
+// whole-group chunks (fig2_join3, grouped; partitioned once a group reaches
+// the cutoff), one-event chunks for self-reading triggers (self_join),
+// extreme multisets under delete-heavy mixes (max_grouped, min_global), and
+// the hybrid/deferred-reeval path with slice indexes (vwap_shape).
 const BatchCase kCases[] = {
     {"fig2_join3",
      "create table R(A int, B int); create table S(B int, C int); "
@@ -135,9 +135,14 @@ TEST_P(BatchSemantics, BatchedEqualsOneAtATimeReplay) {
   Rng rng(seed);
   std::vector<Event> events = RandomStream(cat, &rng, 300, 4, c.p_delete);
 
+  // Mostly small batches, plus sizes straddling dbt::kShardBatchCutoff so
+  // large groups also take the whole-group and partitioned shard plans.
+  const size_t kLarge[] = {dbt::kShardBatchCutoff - 1, dbt::kShardBatchCutoff,
+                           150};
   size_t i = 0;
   while (i < events.size()) {
-    size_t batch_size = 1 + rng.Uniform(17);
+    size_t batch_size = rng.Chance(0.5) ? kLarge[rng.Uniform(3)]
+                                         : 1 + rng.Uniform(17);
     EventBatch batch;
     for (size_t j = 0; j < batch_size && i < events.size(); ++j, ++i) {
       ASSERT_TRUE(sequential.OnEvent(events[i]).ok())

@@ -5,8 +5,8 @@
 // ivm1 (first-order IVM), reeval (full re-evaluation through the Volcano
 // executor) and, for the checked-in bench queries, toaster-c (dbtc-generated
 // C++) — asserting view equality after every batch. Batch sizes straddle
-// dbt::kShardBatchCutoff so both the sequential and the sharded ApplyBatch
-// paths are exercised.
+// dbt::kShardBatchCutoff so both the one-shard and the partitioned shard
+// plans of ApplyBatch are exercised.
 //
 // For bench queries the generated program runs twice: once batched through
 // the columnar on_batch_<R> handlers and once event by event through

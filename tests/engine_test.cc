@@ -112,6 +112,76 @@ TEST(Engine, DebuggerSeesEveryStatementAndMapCell) {
   EXPECT_GT(sink.map_updates, 0);
 }
 
+// A trace sink makes every chunk one event long: a traced ApplyBatch must
+// leave the state of an untraced one, and its sink must see exactly what
+// the sink of a traced per-event replay of the same events sees.
+TEST(Engine, TracedBatchesMatchUntracedBatchesAndPerEventTrace) {
+  Catalog cat = RS();
+  struct Case {
+    const char* sql;
+    bool vectorizable;  ///< of the R trigger
+  };
+  for (const Case& c :
+       {Case{"select sum(R.A * S.C) from R, S where R.B = S.B", true},
+        Case{"select sum(r1.A * r2.A) from R r1, R r2 where r1.B = r2.B",
+             false}}) {
+    Engine untraced = MakeEngine(cat, c.sql);
+    Engine traced = MakeEngine(cat, c.sql);
+    Engine replayed = MakeEngine(cat, c.sql);
+    ASSERT_EQ(traced.tir().FindTrigger("R")->vectorizable, c.vectorizable)
+        << c.sql;
+    RecordingSink batch_sink, event_sink;
+    traced.set_trace_sink(&batch_sink);
+    replayed.set_trace_sink(&event_sink);
+
+    // Batches of 200 inserts (R groups past dbt::kShardBatchCutoff) plus
+    // deletes of every third tuple of the batch before.
+    std::vector<Event> prev;
+    int num_events = 0;
+    for (int b = 0; b < 3; ++b) {
+      std::vector<Event> events;
+      for (size_t i = 0; i < prev.size(); i += 3) {
+        events.push_back(Event::Delete(prev[i].relation, prev[i].tuple));
+      }
+      prev.clear();
+      for (int i = 0; i < 200; ++i) {
+        const int k = b * 200 + i;
+        prev.push_back(
+            k % 2 == 0 ? Event::Insert("R", {Value(k % 7 + 1), Value(k % 5)})
+                       : Event::Insert("S", {Value(k % 5), Value(k % 3 + 1)}));
+        events.push_back(prev.back());
+      }
+      EventBatch plain, with_sink;
+      for (const Event& ev : events) {
+        plain.Add(ev);
+        with_sink.Add(ev);
+      }
+      // The replay follows the batch's group order.
+      for (const EventBatch::Group& g : with_sink.groups()) {
+        for (size_t i = 0; i < g.rows; ++i) {
+          ASSERT_TRUE(
+              replayed.OnEvent(Event{g.kind, g.relation, g.RowAt(i)}).ok());
+        }
+      }
+      ASSERT_TRUE(untraced.ApplyBatch(std::move(plain)).ok()) << c.sql;
+      ASSERT_TRUE(traced.ApplyBatch(std::move(with_sink)).ok()) << c.sql;
+      num_events += static_cast<int>(events.size());
+
+      EXPECT_EQ(traced.ViewScalar("q").value(),
+                untraced.ViewScalar("q").value())
+          << c.sql << " batch " << b;
+      EXPECT_EQ(traced.StateBytes(), untraced.StateBytes())
+          << c.sql << " batch " << b;
+    }
+    EXPECT_EQ(batch_sink.events, num_events) << c.sql;
+    EXPECT_EQ(batch_sink.events, event_sink.events) << c.sql;
+    EXPECT_EQ(batch_sink.statements, event_sink.statements) << c.sql;
+    EXPECT_EQ(batch_sink.updates, event_sink.updates) << c.sql;
+    EXPECT_EQ(batch_sink.map_updates, event_sink.map_updates) << c.sql;
+    EXPECT_GT(batch_sink.map_updates, 0) << c.sql;
+  }
+}
+
 TEST(Engine, ProfilerAccumulates) {
   Catalog cat = RS();
   Engine e = MakeEngine(cat, "select sum(A) from R");

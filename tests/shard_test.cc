@@ -349,7 +349,7 @@ TEST(ShardDeterminism, BatchedMatchesPerEventAcrossThreads) {
   }
 
   // Interpreted engine: a guarded grouped aggregate through the
-  // SelectionClasses skip (batch 16 = vectorized path, 1024 = sharded).
+  // SelectionClasses skip (batch 16 = one-shard plan, 1024 = partitioned).
   {
     auto script = sql::ParseScript("create table R(A int, B int);");
     ASSERT_TRUE(script.ok());
