@@ -641,8 +641,30 @@ class Generator {
     return Status::OK();
   }
 
-  Status EmitTrigger(const tir::Trigger& trig, std::string* out);
-  Status EmitVecTrigger(const tir::Trigger& trig, std::string* out);
+  /// Statements that failed sign unification carry a one-sided mask; their
+  /// emission is wrapped in a sign guard. Unified statements run for both
+  /// polarities with kSignVar bound to the `sign` argument.
+  bool MaskOpen(const tir::Stmt& s, std::string* out) {
+    if (s.when == tir::Stmt::When::kBoth) return false;
+    Line(out, s.when == tir::Stmt::When::kInsertOnly ? "if (sign > 0) {"
+                                                     : "if (sign < 0) {");
+    ++indent_;
+    return true;
+  }
+  void MaskClose(bool opened, std::string* out) {
+    if (!opened) return;
+    --indent_;
+    Line(out, "}");
+  }
+
+  Status EmitExtreme(const tir::Stmt& s, const Env& env, std::string* out);
+  Status EmitReeval(const tir::Stmt& s, std::string* out);
+  void EmitBaseUpdate(const tir::Trigger& t, std::string* out);
+  Status EmitVecTrigger(const tir::Trigger& t, std::string* out);
+  Status EmitRowPhases(const tir::Trigger& t, const Env& env,
+                       std::string* out);
+  Status EmitGroupPhases(const tir::Trigger& t, const Env& row_env,
+                         std::string* out);
   Status EmitMaps(std::string* out);
 
   // ---- group-vectorized batch path ----------------------------------------
@@ -651,7 +673,7 @@ class Generator {
   // go through Map::find_value: a live key takes `*slot += v` per row (the
   // exact add() sequence — doubles are never erased by add), an absent key
   // falls back to per-row upd_ calls, so insertion order and float addition
-  // order are bit-identical to scalar replay. Batching INTEGER targets (one
+  // order are bit-identical to per-event replay. Batching INTEGER targets (one
   // add per distinct key run) and statement-major phases over maps with
   // several writers keep every per-key SUM exact but can change a store's
   // internal LAYOUT (which transient zero got erased, insertion order).
@@ -673,7 +695,7 @@ class Generator {
         }
         if (ps.values[0].is_string()) return false;
         // An int lane against a double constant would truncate in the
-        // typed kernel; the scalar path compares in double. Fall back.
+        // typed kernel; the guard stays in the RHS, compared in double.
         return !(int_lane && ps.values[0].is_double());
       case tir::PredSpec::Kind::kRange:
         return int_lane && ps.values.size() == 2 &&
@@ -704,45 +726,6 @@ class Generator {
     Type type = Type::kInt;
     const tir::PredSpec* pin = nullptr;  ///< equality guard fixing the lane
   };
-
-  /// True when every top-level residual factor is loop-free under a full
-  /// row binding: constants, terms, comparisons, and point atom accesses.
-  /// The run-batched double path duplicates the row body across the
-  /// live-slot / absent-key branches, so it requires a flat residual.
-  bool FlatResidual(const tir::Trigger& t, const tir::Stmt& s) const {
-    std::set<std::string> params;
-    for (const tir::Param& pr : t.params) params.insert(pr.name);
-    const ring::ExprPtr& rhs = s.preds.empty() ? s.stmt.rhs : s.vec_rhs;
-    std::vector<ring::ExprPtr> factors =
-        rhs->kind == ring::ExprKind::kProd ? rhs->children
-                                           : std::vector<ring::ExprPtr>{rhs};
-    for (const ring::ExprPtr& f : factors) {
-      switch (f->kind) {
-        case ring::ExprKind::kConst:
-        case ring::ExprKind::kValTerm:
-        case ring::ExprKind::kCmp:
-          break;
-        case ring::ExprKind::kRel:
-        case ring::ExprKind::kMapRef: {
-          for (const std::string& a : f->args) {
-            if (!params.count(a)) return false;
-          }
-          const MapDecl* decl = f->kind == ring::ExprKind::kMapRef &&
-                                        decls_.count(f->name)
-                                    ? decls_.at(f->name)
-                                    : nullptr;
-          if (f->kind == ring::ExprKind::kMapRef &&
-              (decl == nullptr || decl->needs_init)) {
-            return false;  // init reads may scan base tables
-          }
-          break;
-        }
-        default:
-          return false;  // lifts, sums, nested products: loop-bearing
-      }
-    }
-    return true;
-  }
 
   /// Run-batched commit eligibility: every extracted guard has a kernel,
   /// every target key is a plain event lane, string lanes are pinned by an
@@ -779,7 +762,6 @@ class Generator {
       if (kl.pin == nullptr && kl.type == Type::kDouble) return false;
       lanes.push_back(kl);
     }
-    if (is_double && !FlatResidual(t, s)) return false;
     if (lanes_out) *lanes_out = std::move(lanes);
     return true;
   }
@@ -797,23 +779,18 @@ class Generator {
     std::set<std::string> drifty;
     for (const tir::Trigger& t : tir_.triggers) {
       if (!t.vectorizable) continue;
-      bool all_delta = true;
-      for (const tir::Stmt& s : t.stmts) {
-        if (s.stmt.kind != Statement::Kind::kDelta ||
-            !s.stmt.lhs_iterate.empty()) {
-          all_delta = false;
-          break;
-        }
-      }
-      if (!all_delta) continue;
       std::set<std::string> params;
       for (const tir::Param& pr : t.params) params.insert(pr.name);
       std::map<std::string, int> writers;
       for (const tir::Stmt& s : t.stmts) {
-        if (!s.statically_zero) ++writers[s.stmt.target];
+        if (s.stmt.kind == Statement::Kind::kDelta && !s.statically_zero) {
+          ++writers[s.stmt.target];
+        }
       }
       for (const tir::Stmt& s : t.stmts) {
-        if (s.statically_zero) continue;
+        if (s.stmt.kind != Statement::Kind::kDelta || s.statically_zero) {
+          continue;
+        }
         const MapDecl* decl =
             decls_.count(s.stmt.target) ? decls_.at(s.stmt.target) : nullptr;
         if (decl == nullptr || decl->value_type == Type::kDouble) continue;
@@ -864,48 +841,35 @@ class Generator {
     relaxed_ok_ = true;
   }
 
-  /// The group-vectorized handler covers triggers whose statements are all
-  /// plain delta statements (tir-vectorizable: phase 1 reads nothing the
-  /// trigger writes), and pays off when some statement has extractable
-  /// guards, is statically zero, or admits run-batched commits.
-  bool VecEligible(const tir::Trigger& t) const {
-    if (!t.vectorizable || t.stmts.empty()) return false;
-    std::map<std::string, int> writers;
+  /// The chunk rule, as in the interpreter: a vectorizable trigger (no
+  /// delta statement reads what the trigger writes) takes the whole group
+  /// in one pass, unless several writers of one target can neither FUSE
+  /// into a single loop (the exact per-event commit interleave, sound for
+  /// any value type: same mask and guard set) nor be merged statement-major
+  /// under the integer drift relaxation. Every other trigger takes one row
+  /// at a time.
+  bool WholeGroup(const tir::Trigger& t) const {
+    if (!t.vectorizable) return false;
+    std::map<std::string, std::vector<const tir::Stmt*>> writers;
     for (const tir::Stmt& s : t.stmts) {
-      if (s.stmt.kind != Statement::Kind::kDelta) return false;
-      if (!s.stmt.lhs_iterate.empty()) return false;
-      if (!s.statically_zero) ++writers[s.stmt.target];
-    }
-    bool worthwhile = false;
-    for (const tir::Stmt& s : t.stmts) {
-      const MapDecl* decl =
-          decls_.count(s.stmt.target) ? decls_.at(s.stmt.target) : nullptr;
-      if (decl == nullptr || decl->is_extreme) return false;
-      // Several writers of one target FUSE into a single loop (the exact
-      // per-event commit interleave, sound for any value type) when their
-      // masks and guard sets agree; otherwise the statement-major merge
-      // reorders per-key writes and needs the integer drift relaxation.
-      if (writers[s.stmt.target] > 1) {
-        bool fusable = true;
-        const tir::Stmt* first = nullptr;
-        for (const tir::Stmt& w : t.stmts) {
-          if (w.statically_zero || w.stmt.target != s.stmt.target) continue;
-          if (first == nullptr) { first = &w; continue; }
-          if (w.when != first->when || !SamePredSet(first->preds, w.preds)) {
-            fusable = false;
-            break;
-          }
-        }
-        if (!fusable &&
-            (decl->value_type == Type::kDouble || !relaxed_ok_)) {
-          return false;
-        }
-      }
-      if (s.statically_zero || StmtPredsSupported(s) || BatchableStmt(t, s)) {
-        worthwhile = true;
+      if (s.stmt.kind == Statement::Kind::kDelta && !s.statically_zero) {
+        writers[s.stmt.target].push_back(&s);
       }
     }
-    return worthwhile;
+    for (const auto& [target, ws] : writers) {
+      bool fusable = true;
+      for (const tir::Stmt* w : ws) {
+        fusable = fusable && w->when == ws[0]->when &&
+                  SamePredSet(ws[0]->preds, w->preds);
+      }
+      if (fusable) continue;
+      const MapDecl* decl = decls_.count(target) ? decls_.at(target) : nullptr;
+      if (decl == nullptr || decl->value_type == Type::kDouble ||
+          !relaxed_ok_) {
+        return false;
+      }
+    }
+    return true;
   }
   Status EmitInitFunctions(std::string* out);
   Status EmitViews(std::string* out);
@@ -1185,8 +1149,6 @@ class Generator {
   /// Program-wide verdict: may integer map layout drift (run-batched adds,
   /// statement-major multi-writer merges)? See ComputeRelaxedOk.
   bool relaxed_ok_ = false;
-  /// Any trigger got a vec_<R> group handler (emit counters + overrides).
-  bool any_vec_ = false;
   std::vector<IndexReq> index_reqs_;
   int temp_ = 0;
   int indent_ = 1;
@@ -1291,181 +1253,208 @@ Status Generator::EmitInitFunctions(std::string* out) {
   return Status::OK();
 }
 
-Status Generator::EmitTrigger(const tir::Trigger& trig, std::string* out) {
-  std::vector<std::string> params;
-  Env env;
-  // [[maybe_unused]]: with the base-table update elided (see live_rels_),
-  // a column no statement references has no remaining use.
-  for (const tir::Param& p : trig.params) {
-    std::string arg = "arg_" + p.name;
-    params.push_back(StrFormat("[[maybe_unused]] %s %s", CppType(p.type),
-                               arg.c_str()));
-    env.vars[p.name] = arg;
-  }
-  params.push_back("const int64_t sign");
-  env.vars[tir::kSignVar] = "sign";
-  Line(out, StrFormat("void on_%s(%s) {", trig.relation.c_str(),
-                      Join(params, ", ").c_str()));
+Status Generator::EmitExtreme(const tir::Stmt& s, const Env& env,
+                              std::string* out) {
+  const Statement& stmt = s.stmt;
+  Line(out, "{  // " + s.rendering);
   ++indent_;
-
-  // Statements that failed sign unification carry a one-sided mask; their
-  // emission is wrapped in a sign guard. Unified statements run for both
-  // polarities with kSignVar bound to the `sign` argument.
-  auto mask_open = [&](const tir::Stmt& s) -> bool {
-    if (s.when == tir::Stmt::When::kBoth) return false;
-    Line(out, s.when == tir::Stmt::When::kInsertOnly ? "if (sign > 0) {"
-                                                     : "if (sign < 0) {");
-    ++indent_;
-    return true;
-  };
-  auto mask_close = [&](bool opened) {
-    if (!opened) return;
-    --indent_;
-    Line(out, "}");
-  };
-
-  // Phase 1: evaluate delta statements against the pre-state into pendings.
-  // pend_names is aligned with trig.stmts (empty for non-delta kinds).
-  std::vector<std::string> pend_names(trig.stmts.size());
-  for (size_t si = 0; si < trig.stmts.size(); ++si) {
-    const tir::Stmt& s = trig.stmts[si];
-    if (s.stmt.kind != Statement::Kind::kDelta) continue;
-    if (s.statically_zero) {
-      Line(out, "// [statically zero] " + s.rendering);
-      continue;
-    }
-    const MapDecl* decl = decls_.at(s.stmt.target);
-    std::string pend = StrFormat("pend%zu", si);
-    pend_names[si] = pend;
-    Line(out, StrFormat("std::vector<std::pair<%s, %s>> %s;",
-                        KeyType(decl->key_types).c_str(),
-                        CppType(decl->value_type), pend.c_str()));
-    bool opened = mask_open(s);
-    DBT_RETURN_IF_ERROR(EmitDeltaStatement(s.stmt, env, pend, out));
-    mask_close(opened);
-  }
-
-  // Phase 2: base table + pending applications.
-  if (live_rels_.count(trig.relation) != 0) {
-    std::vector<std::string> args;
-    for (const tir::Param& p : trig.params) args.push_back("arg_" + p.name);
-    Line(out, StrFormat("upd_%s(std::make_tuple(%s), sign);",
-                        RelMapName(trig.relation).c_str(),
-                        Join(args, ", ").c_str()));
-  }
-  for (size_t si = 0; si < trig.stmts.size(); ++si) {
-    const tir::Stmt& s = trig.stmts[si];
-    if (s.stmt.kind != Statement::Kind::kDelta) continue;
-    if (pend_names[si].empty()) continue;  // statically zero
-    Line(out, StrFormat("for (const auto& kv : %s) upd_%s_(kv.first, "
-                        "kv.second);",
-                        pend_names[si].c_str(), s.stmt.target.c_str()));
-  }
-
-  // Phase 2b: extreme statements.
-  for (const tir::Stmt& s : trig.stmts) {
-    const Statement& stmt = s.stmt;
-    if (stmt.kind != Statement::Kind::kExtreme) continue;
-    Line(out, "{  // " + stmt.ToString());
-    ++indent_;
-    bool opened = mask_open(s);
-    std::string guard_close;
-    if (stmt.extreme_guard != nullptr) {
-      std::string acc = Fresh("g");
-      Line(out, StrFormat("int64_t %s = 0;", acc.c_str()));
-      Sink sink = [&](const Env& /*e2*/, const std::string& value) -> Status {
-        Line(out, StrFormat("%s += (%s);", acc.c_str(), value.c_str()));
-        return Status::OK();
-      };
-      DBT_RETURN_IF_ERROR(EmitContribs(stmt.extreme_guard, env, out, sink));
-      Line(out, StrFormat("if (%s != 0) {", acc.c_str()));
-      ++indent_;
-      guard_close = "}";
-    }
-    std::vector<std::string> keys;
-    for (const std::string& kv : stmt.target_keys) {
-      auto it = env.vars.find(kv);
-      if (it == env.vars.end()) {
-        return Status::Internal("codegen: unbound extreme key " + kv);
-      }
-      keys.push_back(it->second);
-    }
-    DBT_ASSIGN_OR_RETURN(std::string value, TermCpp(stmt.extreme_value, env));
-    if (s.extreme_runtime_sign) {
-      // Insert adds to / delete removes from the min/max multiset: the
-      // multiset op direction is the event sign itself.
-      Line(out, StrFormat("%s_.update(std::make_tuple(%s), %s, sign);",
-                          stmt.target.c_str(), Join(keys, ", ").c_str(),
-                          value.c_str()));
-    } else {
-      Line(out, StrFormat("%s_.%s(std::make_tuple(%s), %s);",
-                          stmt.target.c_str(),
-                          stmt.extreme_sign > 0 ? "add" : "remove",
-                          Join(keys, ", ").c_str(), value.c_str()));
-    }
-    if (!guard_close.empty()) {
-      --indent_;
-      Line(out, guard_close);
-    }
-    mask_close(opened);
-    --indent_;
-    Line(out, "}");
-  }
-
-  // Phase 3: hybrid re-evaluation statements (post-state; no event params).
-  for (const tir::Stmt& s : trig.stmts) {
-    const Statement& stmt = s.stmt;
-    if (stmt.kind != Statement::Kind::kReeval) continue;
-    const MapDecl* decl = decls_.at(stmt.target);
-    Line(out, "{  // " + stmt.ToString());
-    ++indent_;
-    bool opened = mask_open(s);
-    std::string acc = Fresh("acc");
-    Line(out, StrFormat("%s %s{};", CppType(decl->value_type), acc.c_str()));
-    Env renv;  // empty: reeval depends only on state
-    renv.store_flag = "true";
+  const bool opened = MaskOpen(s, out);
+  std::string guard;
+  if (stmt.extreme_guard != nullptr) {
+    guard = Fresh("g");
+    Line(out, StrFormat("int64_t %s = 0;", guard.c_str()));
     Sink sink = [&](const Env& /*e2*/, const std::string& value) -> Status {
-      Line(out, StrFormat("%s += static_cast<%s>(%s);", acc.c_str(),
-                          CppType(decl->value_type), value.c_str()));
+      Line(out, StrFormat("%s += (%s);", guard.c_str(), value.c_str()));
       return Status::OK();
     };
-    assert(stmt.rhs->kind == ring::ExprKind::kAggSum &&
-           stmt.rhs->group_vars.empty());
-    DBT_RETURN_IF_ERROR(EmitContribs(stmt.rhs->children[0], renv, out, sink));
-    Line(out, StrFormat("%s_.clear();", stmt.target.c_str()));
-    Line(out, StrFormat("%s_.set(std::tuple<>{}, %s);", stmt.target.c_str(),
-                        acc.c_str()));
-    mask_close(opened);
+    DBT_RETURN_IF_ERROR(EmitContribs(stmt.extreme_guard, env, out, sink));
+    Line(out, StrFormat("if (%s != 0) {", guard.c_str()));
+    ++indent_;
+  }
+  std::vector<std::string> keys;
+  for (const std::string& kv : stmt.target_keys) {
+    auto it = env.vars.find(kv);
+    if (it == env.vars.end()) {
+      return Status::Internal("codegen: unbound extreme key " + kv);
+    }
+    keys.push_back(it->second);
+  }
+  DBT_ASSIGN_OR_RETURN(std::string value, TermCpp(stmt.extreme_value, env));
+  if (s.extreme_runtime_sign) {
+    // Insert adds to / delete removes from the min/max multiset: the
+    // multiset op direction is the event sign itself.
+    Line(out, StrFormat("%s_.update(std::make_tuple(%s), %s, sign);",
+                        stmt.target.c_str(), Join(keys, ", ").c_str(),
+                        value.c_str()));
+  } else {
+    Line(out, StrFormat("%s_.%s(std::make_tuple(%s), %s);",
+                        stmt.target.c_str(),
+                        stmt.extreme_sign > 0 ? "add" : "remove",
+                        Join(keys, ", ").c_str(), value.c_str()));
+  }
+  if (!guard.empty()) {
     --indent_;
     Line(out, "}");
   }
-
+  MaskClose(opened, out);
   --indent_;
   Line(out, "}");
   return Status::OK();
 }
 
-/// Group-vectorized handler: one call per (relation, op) group (or per
-/// shard sub-range under a shard plan) replaces the per-row trigger calls.
-/// Extracted guards run once as selection kernels over whole column lanes;
-/// each statement then iterates only its class's survivors; statements
-/// whose target keys are event lanes sort survivors into key runs and
-/// commit each run with a single probe. Contribution values, their order,
-/// and float addition order are identical to per-row replay (see the
-/// layout-exactness comment at the analysis layer).
+/// Hybrid re-evaluation: recomputes the target from the post-state alone
+/// (no event parameters are bound).
+Status Generator::EmitReeval(const tir::Stmt& s, std::string* out) {
+  const Statement& stmt = s.stmt;
+  const MapDecl* decl = decls_.at(stmt.target);
+  Line(out, "{  // " + s.rendering);
+  ++indent_;
+  const bool opened = MaskOpen(s, out);
+  std::string acc = Fresh("acc");
+  Line(out, StrFormat("%s %s{};", CppType(decl->value_type), acc.c_str()));
+  Env renv;  // empty: reeval depends only on state
+  renv.store_flag = "true";
+  Sink sink = [&](const Env& /*e2*/, const std::string& value) -> Status {
+    Line(out, StrFormat("%s += static_cast<%s>(%s);", acc.c_str(),
+                        CppType(decl->value_type), value.c_str()));
+    return Status::OK();
+  };
+  assert(stmt.rhs->kind == ring::ExprKind::kAggSum &&
+         stmt.rhs->group_vars.empty());
+  DBT_RETURN_IF_ERROR(EmitContribs(stmt.rhs->children[0], renv, out, sink));
+  Line(out, StrFormat("%s_.clear();", stmt.target.c_str()));
+  Line(out, StrFormat("%s_.set(std::tuple<>{}, %s);", stmt.target.c_str(),
+                      acc.c_str()));
+  MaskClose(opened, out);
+  --indent_;
+  Line(out, "}");
+  return Status::OK();
+}
+
+void Generator::EmitBaseUpdate(const tir::Trigger& t, std::string* out) {
+  if (live_rels_.count(t.relation) == 0) return;
+  std::vector<std::string> args;
+  for (size_t i = 0; i < t.params.size(); ++i) {
+    args.push_back(StrFormat("c%zu[i]", i));
+  }
+  Line(out, StrFormat("upd_%s(std::make_tuple(%s), sign);",
+                      RelMapName(t.relation).c_str(),
+                      Join(args, ", ").c_str()));
+}
+
+/// The one generated body of a trigger. vec_<R>(lanes..., base, base_n,
+/// sign) applies the rows `base` selects (nullptr: 0..base_n-1) in the phase
+/// order of the interpreter's Engine::ApplyGroup: selection, delta
+/// statements, the base table, extreme statements per row over the
+/// post-state, then re-evaluations. A whole-group trigger (WholeGroup) runs
+/// each phase once over all the rows; any other trigger runs every phase
+/// once per row, its deltas buffered in pendings against the pre-state.
+/// on_<R>, the typed per-event entry point, forwards its one row as
+/// one-element lanes.
 Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
   const std::string& rel = t.relation;
-
-  // Row binding identical to the scalar handler's, so factor ordering (and
-  // with it contribution order) matches on_<R> exactly.
+  // Row i of the call binds parameter k to lane c<k>.
   Env row_env;
   for (size_t i = 0; i < t.params.size(); ++i) {
     row_env.vars[t.params[i].name] = StrFormat("c%zu[i]", i);
   }
   row_env.vars[tir::kSignVar] = "sign";
 
+  // [[maybe_unused]]: a lane may go unreferenced once the base-table
+  // update is elided and no guard or RHS touches it.
+  std::string cparams, lanes;
+  std::vector<std::string> args;
+  for (size_t i = 0; i < t.params.size(); ++i) {
+    const tir::Param& p = t.params[i];
+    cparams += StrFormat("[[maybe_unused]] const %s* c%zu, ",
+                         ColElem(p.type), i);
+    lanes += "&arg_" + p.name + ", ";
+    args.push_back(p.type == Type::kString
+                       ? "const std::string& arg_" + p.name
+                       : StrFormat("%s arg_%s", CppType(p.type),
+                                   p.name.c_str()));
+  }
+  args.push_back("const int64_t sign");
+  Line(out, StrFormat("void vec_%s(%sconst uint32_t* base, "
+                      "const uint32_t base_n, const int64_t sign) {",
+                      rel.c_str(), cparams.c_str()));
+  ++indent_;
+  DBT_RETURN_IF_ERROR(WholeGroup(t) ? EmitGroupPhases(t, row_env, out)
+                                    : EmitRowPhases(t, row_env, out));
+  --indent_;
+  Line(out, "}");
+  Line(out, StrFormat("void on_%s(%s) {", rel.c_str(),
+                      Join(args, ", ").c_str()));
+  Line(out, StrFormat("  vec_%s(%snullptr, 1, sign);", rel.c_str(),
+                      lanes.c_str()));
+  Line(out, "}");
+  return Status::OK();
+}
+
+/// One row at a time, exactly the per-event trigger: deltas evaluated
+/// against the pre-state into pendings, the base table, the pendings
+/// committed in statement order, then the extreme and re-evaluation
+/// statements.
+Status Generator::EmitRowPhases(const tir::Trigger& t, const Env& env,
+                                std::string* out) {
+  Line(out, "for (uint32_t ii = 0; ii < base_n; ++ii) {");
+  ++indent_;
+  Line(out, "[[maybe_unused]] const uint32_t i = "
+            "base != nullptr ? base[ii] : ii;");
+  // pend_names is aligned with t.stmts (empty for other kinds).
+  std::vector<std::string> pend_names(t.stmts.size());
+  for (size_t si = 0; si < t.stmts.size(); ++si) {
+    const tir::Stmt& s = t.stmts[si];
+    if (s.stmt.kind != Statement::Kind::kDelta) continue;
+    if (s.statically_zero) {
+      Line(out, "// [statically zero] " + s.rendering);
+      continue;
+    }
+    const MapDecl* decl = decls_.at(s.stmt.target);
+    pend_names[si] = StrFormat("pend%zu", si);
+    Line(out, StrFormat("std::vector<std::pair<%s, %s>> %s;",
+                        KeyType(decl->key_types).c_str(),
+                        CppType(decl->value_type), pend_names[si].c_str()));
+    const bool opened = MaskOpen(s, out);
+    DBT_RETURN_IF_ERROR(EmitDeltaStatement(s.stmt, env, pend_names[si], out));
+    MaskClose(opened, out);
+  }
+  EmitBaseUpdate(t, out);
+  for (size_t si = 0; si < t.stmts.size(); ++si) {
+    if (pend_names[si].empty()) continue;
+    Line(out, StrFormat("for (const auto& kv : %s) upd_%s_(kv.first, "
+                        "kv.second);",
+                        pend_names[si].c_str(),
+                        t.stmts[si].stmt.target.c_str()));
+  }
+  for (const tir::Stmt& s : t.stmts) {
+    if (s.stmt.kind == Statement::Kind::kExtreme) {
+      DBT_RETURN_IF_ERROR(EmitExtreme(s, env, out));
+    }
+  }
+  for (const tir::Stmt& s : t.stmts) {
+    if (s.stmt.kind == Statement::Kind::kReeval) {
+      DBT_RETURN_IF_ERROR(EmitReeval(s, out));
+    }
+  }
+  --indent_;
+  Line(out, "}");
+  return Status::OK();
+}
+
+/// Whole group in one pass. Extracted guards run once as selection kernels
+/// over the lanes; each delta statement then iterates only its class's
+/// survivors, statement-major, committing straight into the maps (no
+/// statement reads what the trigger writes); statements whose target keys
+/// are event lanes commit one probe per key run (dbt::KeyRuns). The base
+/// table and the extreme statements follow per row, and the
+/// re-evaluations run once. Contribution values, their order, and float
+/// addition order are identical to per-row replay (see the layout-exactness
+/// comment at the analysis layer).
+Status Generator::EmitGroupPhases(const tir::Trigger& t, const Env& row_env,
+                                  std::string* out) {
   struct StmtPlan {
-    bool skip = false;      ///< statically zero
+    bool skip = false;      ///< statically zero, or not a delta statement
     size_t cls = SIZE_MAX;  ///< selection class (SIZE_MAX: iterate base)
     bool batched = false;
     std::vector<KeyLane> lanes;
@@ -1495,11 +1484,16 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
   };
 
   std::vector<std::vector<const tir::PredSpec*>> classes;
+  bool any_batched = false;
   for (size_t si = 0; si < t.stmts.size(); ++si) {
     const tir::Stmt& s = t.stmts[si];
     StmtPlan& pl = plans[si];
-    if (s.statically_zero) { pl.skip = true; continue; }
+    if (s.statically_zero || s.stmt.kind != Statement::Kind::kDelta) {
+      pl.skip = true;
+      continue;
+    }
     pl.batched = BatchableStmt(t, s, &pl.lanes);
+    any_batched = any_batched || pl.batched;
     if (!StmtPredsSupported(s)) continue;  // no guards (or no kernel): base
     for (const tir::PredSpec& q : s.preds) pl.canon.push_back(&q);
     std::stable_sort(pl.canon.begin(), pl.canon.end(),
@@ -1577,22 +1571,12 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
     }
   }
 
-  // [[maybe_unused]]: a lane may go unreferenced once the base-table
-  // update is elided and no guard or RHS touches it.
-  std::string cparams;
-  for (size_t i = 0; i < t.params.size(); ++i) {
-    cparams += StrFormat("[[maybe_unused]] const %s* c%zu, ",
-                         ColElem(t.params[i].type), i);
+  if (any_batched) Line(out, "uint64_t vec_runs = 0;");
+  // The region markers bound the prologue for tools/lint_gen.sh.
+  if (!classes.empty()) {
+    Line(out, "uint64_t vec_rows = 0;");
+    Line(out, "// --- selection prologue (guard extraction -> kernels) ---");
   }
-  Line(out, StrFormat("void vec_%s(%sconst uint32_t* base, "
-                      "const uint32_t base_n, const int64_t sign) {",
-                      rel.c_str(), cparams.c_str()));
-  ++indent_;
-  Line(out, "uint64_t vec_rows = 0;");
-  Line(out, "uint64_t vec_runs = 0;");
-
-  // --- selection prologue (guard extraction -> kernels) ---
-  Line(out, "// --- selection prologue (guard extraction -> kernels) ---");
   auto emit_pass = [&](const tir::PredSpec& ps, const std::string& in,
                        const std::string& inn, const std::string& sel,
                        const std::string& cnt_lhs) {
@@ -1668,31 +1652,15 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
     Line(out, StrFormat("vec_rows += %s;", cnt.c_str()));
   }
 
-  // --- statement phases (statement-major, selection-vector iteration) ---
-  Line(out, "// --- statement phases (statement-major, "
-            "selection-vector iteration) ---");
-  // Base-table update first: no delta statement reads the triggering
-  // relation (tir vectorizable covers init cascades too), so folding the
-  // relation update ahead of all statements matches per-row phase order.
-  if (live_rels_.count(rel) != 0) {
-    std::vector<std::string> args;
-    for (size_t i = 0; i < t.params.size(); ++i) {
-      args.push_back(StrFormat("c%zu[i]", i));
-    }
-    Line(out, "for (uint32_t ii = 0; ii < base_n; ++ii) {");
-    ++indent_;
-    Line(out, "const uint32_t i = base != nullptr ? base[ii] : ii;");
-    Line(out, StrFormat("upd_%s(std::make_tuple(%s), sign);",
-                        RelMapName(rel).c_str(), Join(args, ", ").c_str()));
-    --indent_;
-    Line(out, "}");
+  if (!classes.empty()) {
+    Line(out, "// --- statement phases (statement-major, "
+              "selection-vector iteration) ---");
   }
-
   for (size_t si = 0; si < t.stmts.size(); ++si) {
     const tir::Stmt& s = t.stmts[si];
     const StmtPlan& pl = plans[si];
     if (pl.skip) {
-      Line(out, "// [statically zero] " + s.rendering);
+      if (s.statically_zero) Line(out, "// [statically zero] " + s.rendering);
       continue;
     }
     if (fuse_leader[si] != SIZE_MAX && fuse_leader[si] != si) {
@@ -1702,7 +1670,7 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
     std::vector<size_t> members{si};
     if (fuse_groups.count(si)) members = fuse_groups.at(si);
     // One fused per-row body: each member statement's contributions in
-    // statement order — the scalar per-event apply sequence.
+    // statement order — the per-event apply sequence.
     auto emit_bodies =
         [&](const std::function<Sink(const tir::Stmt&)>& make_sink)
         -> Status {
@@ -1727,30 +1695,21 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
     const std::string cnt =
         base_sel ? "base_n" : StrFormat("cnt%zu", pl.cls);
     // [[maybe_unused]]: a fully run-key-bound RHS reads no per-row lane.
-    auto row_at = [&](const std::string& idx) {
-      return base_sel ? StrFormat("[[maybe_unused]] const uint32_t i = "
-                                  "base != nullptr ? base[%s] : %s;",
-                                  idx.c_str(), idx.c_str())
-                      : StrFormat("[[maybe_unused]] const uint32_t i = "
-                                  "%s[%s];",
-                                  sel.c_str(), idx.c_str());
-    };
+    const std::string row_at =
+        base_sel ? "[[maybe_unused]] const uint32_t i = "
+                   "base != nullptr ? base[ii] : ii;"
+                 : StrFormat("[[maybe_unused]] const uint32_t i = %s[ii];",
+                             sel.c_str());
 
     Line(out, "{  // " + s.rendering);
     ++indent_;
-    bool opened = false;
-    if (s.when != tir::Stmt::When::kBoth) {
-      Line(out, s.when == tir::Stmt::When::kInsertOnly ? "if (sign > 0) {"
-                                                       : "if (sign < 0) {");
-      ++indent_;
-      opened = true;
-    }
+    const bool opened = MaskOpen(s, out);
 
     if (!batched) {
       Line(out, StrFormat("for (uint32_t ii = 0; ii < %s; ++ii) {",
                           cnt.c_str()));
       ++indent_;
-      Line(out, row_at("ii"));
+      Line(out, row_at);
       auto make_sink = [&](const tir::Stmt& mref) -> Sink {
         const tir::Stmt* ms = &mref;
         return [&, ms](const Env& e2, const std::string& value) -> Status {
@@ -1793,69 +1752,51 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
       }
       const std::string rkey =
           "std::make_tuple(" + Join(run_keys, ", ") + ")";
-      const bool is_double = decl->value_type == Type::kDouble;
+      const std::string& target = s.stmt.target;
 
-      // Emits one key run: rows [lo, hi) of `iter` accumulated locally,
-      // one probe/commit per distinct key.
+      // Emits one key run: rows `iter_open`/`iter_row` walk, accumulated
+      // into one probe/commit. A double target keeps the run's live slot
+      // and adds each value to it in row order (the exact add() sequence:
+      // doubles are never erased by add); an absent key takes per-row
+      // upd_ calls. Integer targets sum the run and commit once.
       auto emit_run = [&](const std::string& iter_open,
-                          const std::string& iter_row) -> Status {
+                          const std::string& iter_row,
+                          bool count_run) -> Status {
+        const bool is_double = decl->value_type == Type::kDouble;
+        const std::string acc = Fresh(is_double ? "slot" : "acc");
         if (is_double) {
-          std::string slot = Fresh("slot");
           Line(out, StrFormat("double* %s = %s_.find_value(%s);",
-                              slot.c_str(), s.stmt.target.c_str(),
-                              rkey.c_str()));
-          Line(out, "++vec_runs;");
-          auto body = [&](bool live) -> Status {
-            Line(out, iter_open);
-            ++indent_;
-            Line(out, iter_row);
-            Sink sink = [&](const Env&, const std::string& value) -> Status {
-              if (live) {
-                // The exact add() sequence on a live key: doubles are never
-                // erased by add, so the slot stays valid for the run.
-                Line(out, StrFormat("*%s += static_cast<double>(%s);",
-                                    slot.c_str(), value.c_str()));
-              } else {
-                Line(out, StrFormat("upd_%s_(%s, static_cast<double>(%s));",
-                                    s.stmt.target.c_str(), rkey.c_str(),
-                                    value.c_str()));
-              }
-              return Status::OK();
-            };
-            DBT_RETURN_IF_ERROR(
-                emit_bodies([&](const tir::Stmt&) { return sink; }));
-            --indent_;
-            Line(out, "}");
-            return Status::OK();
-          };
-          Line(out, StrFormat("if (%s != nullptr) {", slot.c_str()));
-          ++indent_;
-          DBT_RETURN_IF_ERROR(body(true));
-          --indent_;
-          Line(out, "} else {");
-          ++indent_;
-          DBT_RETURN_IF_ERROR(body(false));
-          --indent_;
-          Line(out, "}");
-          return Status::OK();
+                              acc.c_str(), target.c_str(), rkey.c_str()));
+        } else {
+          Line(out, StrFormat("int64_t %s = 0;", acc.c_str()));
         }
-        std::string acc = Fresh("acc");
-        Line(out, StrFormat("int64_t %s = 0;", acc.c_str()));
         Line(out, iter_open);
         ++indent_;
         Line(out, iter_row);
         Sink sink = [&](const Env&, const std::string& value) -> Status {
-          Line(out, StrFormat("%s += static_cast<int64_t>(%s);", acc.c_str(),
-                              value.c_str()));
+          if (!is_double) {
+            Line(out, StrFormat("%s += static_cast<int64_t>(%s);",
+                                acc.c_str(), value.c_str()));
+            return Status::OK();
+          }
+          const std::string d = Fresh("d");
+          Line(out, StrFormat("const double %s = static_cast<double>(%s);",
+                              d.c_str(), value.c_str()));
+          Line(out, StrFormat("if (%s != nullptr) *%s += %s; "
+                              "else upd_%s_(%s, %s);",
+                              acc.c_str(), acc.c_str(), d.c_str(),
+                              target.c_str(), rkey.c_str(), d.c_str()));
           return Status::OK();
         };
         DBT_RETURN_IF_ERROR(
             emit_bodies([&](const tir::Stmt&) { return sink; }));
         --indent_;
         Line(out, "}");
-        Line(out, "++vec_runs;");
-        Line(out, StrFormat("upd_%s_(%s, %s);", s.stmt.target.c_str(),
-                            rkey.c_str(), acc.c_str()));
+        if (count_run) Line(out, "++vec_runs;");
+        if (!is_double) {
+          Line(out, StrFormat("upd_%s_(%s, %s);", target.c_str(),
+                              rkey.c_str(), acc.c_str()));
+        }
         return Status::OK();
       };
 
@@ -1865,87 +1806,82 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
         ++indent_;
         DBT_RETURN_IF_ERROR(emit_run(
             StrFormat("for (uint32_t ii = 0; ii < %s; ++ii) {", cnt.c_str()),
-            row_at("ii")));
+            row_at, true));
         --indent_;
         Line(out, "}");
       } else {
-        // Stable sort of the survivors on the unpinned key lanes: per-key
-        // row order stays ascending, so per-key write sequences are the
-        // scalar ones.
-        std::string srt = Fresh("srt");
-        Line(out, StrFormat("dbt::SelBuf sb_%s;", srt.c_str()));
-        Line(out, StrFormat("uint32_t* %s = sb_%s.data(%s);", srt.c_str(),
-                            srt.c_str(), cnt.c_str()));
-        if (base_sel) {
-          Line(out, "if (base != nullptr) {");
-          ++indent_;
-          Line(out, StrFormat("std::copy(base, base + base_n, %s);",
-                              srt.c_str()));
-          --indent_;
-          Line(out, "} else {");
-          ++indent_;
-          Line(out, StrFormat(
-                        "for (uint32_t ii = 0; ii < base_n; ++ii) %s[ii] = ii;",
-                        srt.c_str()));
-          --indent_;
-          Line(out, "}");
-        } else {
-          Line(out, StrFormat("std::copy(%s, %s + %s, %s);", sel.c_str(),
-                              sel.c_str(), cnt.c_str(), srt.c_str()));
+        // Survivors sorted stably on the unpinned key lanes: per-key row
+        // order stays ascending, so per-key write sequences are the
+        // per-event ones.
+        std::vector<std::string> keys;
+        for (const KeyLane& kl : unpinned) {
+          keys.push_back(StrFormat("c%zu", kl.lane));
         }
-        Line(out, StrFormat("std::stable_sort(%s, %s + %s, "
-                            "[&](uint32_t ra, uint32_t rb) {",
-                            srt.c_str(), srt.c_str(), cnt.c_str()));
+        Line(out, StrFormat("vec_runs += dbt::KeyRuns(%s, %s, {%s}, "
+                            "[&](const uint32_t* run, const uint32_t run_n) {",
+                            sel.c_str(), cnt.c_str(),
+                            Join(keys, ", ").c_str()));
         ++indent_;
-        for (size_t j = 0; j + 1 < unpinned.size(); ++j) {
-          Line(out, StrFormat("if (c%zu[ra] != c%zu[rb]) "
-                              "return c%zu[ra] < c%zu[rb];",
-                              unpinned[j].lane, unpinned[j].lane,
-                              unpinned[j].lane, unpinned[j].lane));
+        for (size_t j = 0; j < unpinned.size(); ++j) {
+          Line(out, StrFormat("const int64_t rk%zu = c%zu[run[0]];", j,
+                              unpinned[j].lane));
         }
-        Line(out, StrFormat("return c%zu[ra] < c%zu[rb];",
-                            unpinned.back().lane, unpinned.back().lane));
+        DBT_RETURN_IF_ERROR(emit_run(
+            "for (uint32_t ii = 0; ii < run_n; ++ii) {",
+            "[[maybe_unused]] const uint32_t i = run[ii];", false));
         --indent_;
         Line(out, "});");
-        std::string rv = Fresh("r");
-        std::string rend = Fresh("rend");
-        Line(out, StrFormat("uint32_t %s = 0;", rv.c_str()));
-        Line(out, StrFormat("while (%s < %s) {", rv.c_str(), cnt.c_str()));
-        ++indent_;
-        std::string conj;
-        for (size_t j = 0; j < unpinned.size(); ++j) {
-          Line(out, StrFormat("const int64_t rk%zu = c%zu[%s[%s]];", j,
-                              unpinned[j].lane, srt.c_str(), rv.c_str()));
-          conj += StrFormat("%sc%zu[%s[%s]] == rk%zu", j == 0 ? "" : " && ",
-                            unpinned[j].lane, srt.c_str(), rend.c_str(), j);
-        }
-        Line(out, StrFormat("uint32_t %s = %s + 1;", rend.c_str(),
-                            rv.c_str()));
-        Line(out, StrFormat("while (%s < %s && %s) ++%s;", rend.c_str(),
-                            cnt.c_str(), conj.c_str(), rend.c_str()));
-        DBT_RETURN_IF_ERROR(emit_run(
-            StrFormat("for (uint32_t ii = %s; ii < %s; ++ii) {", rv.c_str(),
-                      rend.c_str()),
-            StrFormat("[[maybe_unused]] const uint32_t i = %s[ii];",
-                      srt.c_str())));
-        Line(out, StrFormat("%s = %s;", rv.c_str(), rend.c_str()));
-        --indent_;
-        Line(out, "}");
       }
     }
 
-    if (opened) {
-      --indent_;
-      Line(out, "}");
+    MaskClose(opened, out);
+    --indent_;
+    Line(out, "}");
+  }
+
+  // Base table and extreme statements per row, over the post-state. No
+  // delta statement read the triggering relation, and the extreme
+  // statements read event parameters only, so each row's pair may run in
+  // one loop.
+  bool has_extreme = false, has_reeval = false;
+  for (const tir::Stmt& s : t.stmts) {
+    has_extreme |= s.stmt.kind == Statement::Kind::kExtreme;
+    has_reeval |= s.stmt.kind == Statement::Kind::kReeval;
+  }
+  if (live_rels_.count(t.relation) != 0 || has_extreme) {
+    Line(out, "for (uint32_t ii = 0; ii < base_n; ++ii) {");
+    ++indent_;
+    Line(out, "[[maybe_unused]] const uint32_t i = "
+              "base != nullptr ? base[ii] : ii;");
+    EmitBaseUpdate(t, out);
+    for (const tir::Stmt& s : t.stmts) {
+      if (s.stmt.kind == Statement::Kind::kExtreme) {
+        DBT_RETURN_IF_ERROR(EmitExtreme(s, row_env, out));
+      }
+    }
+    --indent_;
+    Line(out, "}");
+  }
+  // Re-evaluations are deferrable here (nothing reads their targets), so
+  // once per call over the final state equals once per row.
+  if (has_reeval) {
+    Line(out, "if (base_n != 0) {");
+    ++indent_;
+    for (const tir::Stmt& s : t.stmts) {
+      if (s.stmt.kind == Statement::Kind::kReeval) {
+        DBT_RETURN_IF_ERROR(EmitReeval(s, out));
+      }
     }
     --indent_;
     Line(out, "}");
   }
 
-  Line(out, "selected_rows_.fetch_add(vec_rows, std::memory_order_relaxed);");
-  Line(out, "probe_runs_.fetch_add(vec_runs, std::memory_order_relaxed);");
-  --indent_;
-  Line(out, "}");
+  if (!classes.empty()) {
+    Line(out, "selected_rows_.fetch_add(vec_rows, std::memory_order_relaxed);");
+  }
+  if (any_batched) {
+    Line(out, "probe_runs_.fetch_add(vec_runs, std::memory_order_relaxed);");
+  }
   return Status::OK();
 }
 
@@ -2050,60 +1986,34 @@ Status Generator::EmitViews(std::string* out) {
   return Status::OK();
 }
 
-/// Per-relation fused batch handlers: one sign-parameterized entry point
-/// per relation consumes a columnar (relation, op) group directly, scanning
-/// the flat typed arrays (no per-event Value unboxing). The ingest boundary
-/// puts every lane on its schema type; a group whose layout still differs
-/// is refused (returns 0). Under a shard plan, large groups are
-/// hash-partitioned on the relation's partition attribute into the fixed
-/// logical shards and replayed on the worker pool; shard isolation (every
-/// store partitioned on the same attribute) makes this equal to the
-/// event-ordered replay, and the fixed shard count makes it identical at
-/// every thread count.
+/// Per-relation batch handlers: one sign-parameterized entry point per
+/// relation consumes a columnar (relation, op) group directly and hands its
+/// flat typed lanes to the trigger's one body, vec_<R> (no per-event Value
+/// unboxing). The ingest boundary puts every lane on its schema type; a
+/// group whose layout still differs is refused (returns 0). Under a shard
+/// plan, large groups are hash-partitioned on the relation's partition
+/// attribute into the fixed logical shards and replayed on the worker pool,
+/// one vec_<R> call per shard; shard isolation (every store partitioned on
+/// the same attribute) makes this equal to the event-ordered replay, and
+/// the fixed shard count makes it identical at every thread count.
 Status Generator::EmitBatchHandlers(std::string* out) {
   for (const tir::Trigger& t : tir_.triggers) {
     const std::string& rel = t.relation;
     const size_t ncols = t.params.size();
-    bool vec = VecEligible(t);
-    if (vec) {
-      // Emission size budget: a handler whose statement residuals are deep
-      // join pyramids re-renders them once per selection class, and on such
-      // triggers the prologue win is noise against the residual cost (the
-      // wide q41 join). Dropping the oversized handler keeps dbtc output
-      // lean (tools/check_gen_loc.sh) — the scalar per-row path remains.
-      static constexpr size_t kVecEmitLineCap = 300;
-      std::string vec_text;
-      DBT_RETURN_IF_ERROR(EmitVecTrigger(t, &vec_text));
-      const size_t lines =
-          static_cast<size_t>(std::count(vec_text.begin(), vec_text.end(),
-                                         '\n'));
-      if (lines <= kVecEmitLineCap) {
-        any_vec_ = true;
-        out->append(vec_text);
-      } else {
-        vec = false;
-        Line(out, StrFormat("// vec_%s elided: %zu lines exceeds the "
-                            "emission budget (%zu)",
-                            rel.c_str(), lines, kVecEmitLineCap));
-      }
-    }
-    std::vector<std::string> tags(ncols), fields(ncols), elems(ncols);
+    std::vector<std::string> tags(ncols), fields(ncols);
     for (size_t i = 0; i < ncols; ++i) {
       switch (t.params[i].type) {
         case Type::kDouble:
           tags[i] = "kF64";
           fields[i] = "f64";
-          elems[i] = "double";
           break;
         case Type::kString:
           tags[i] = "kStr";
           fields[i] = "str";
-          elems[i] = "std::string";
           break;
         default:
           tags[i] = "kI64";
           fields[i] = "i64";
-          elems[i] = "int64_t";
           break;
       }
     }
@@ -2127,14 +2037,14 @@ Status Generator::EmitBatchHandlers(std::string* out) {
     }
     Line(out, StrFormat("if (%s) return 0;", check.c_str()));
     Line(out, "const size_t n = g.rows;");
-    std::string col_args, vec_args;
+    std::string lanes;
     for (size_t i = 0; i < ncols; ++i) {
       Line(out, StrFormat("const %s* c%zu = g.cols[%zu].%s.data();",
-                          elems[i].c_str(), i, i, fields[i].c_str()));
-      col_args += StrFormat("c%zu[i], ", i);
-      vec_args += StrFormat("c%zu, ", i);
+                          ColElem(t.params[i].type), i, i, fields[i].c_str()));
+      lanes += StrFormat("c%zu, ", i);
     }
     if (plan_.ok) {
+      // Selection runs AFTER the shard split, over each shard's sub-range.
       Line(out, "if (n >= dbt::kShardBatchCutoff) {");
       ++indent_;
       Line(out, "std::vector<uint32_t> shard_idx[dbt::kNumShards];");
@@ -2147,41 +2057,18 @@ Status Generator::EmitBatchHandlers(std::string* out) {
       Line(out, "dbt::shard_pool().RunShards(dbt::kNumShards, "
                 "[&](size_t shard) {");
       ++indent_;
-      if (vec) {
-        // Selection runs AFTER the shard split, over each shard's
-        // sub-range — never re-evaluated per row.
-        Line(out, StrFormat("vec_%s(%sshard_idx[shard].data(), "
-                            "static_cast<uint32_t>(shard_idx[shard].size()), "
-                            "sign);",
-                            rel.c_str(), vec_args.c_str()));
-      } else {
-        Line(out, "for (uint32_t i : shard_idx[shard]) {");
-        ++indent_;
-        Line(out, StrFormat("on_%s(%ssign);", rel.c_str(), col_args.c_str()));
-        --indent_;
-        Line(out, "}");
-      }
+      Line(out, StrFormat("vec_%s(%sshard_idx[shard].data(), "
+                          "static_cast<uint32_t>(shard_idx[shard].size()), "
+                          "sign);",
+                          rel.c_str(), lanes.c_str()));
       --indent_;
       Line(out, "});");
       Line(out, "return n;");
       --indent_;
       Line(out, "}");
     }
-    if (vec) {
-      Line(out, "if (n > 1) {");
-      ++indent_;
-      Line(out, StrFormat("vec_%s(%snullptr, static_cast<uint32_t>(n), "
-                          "sign);",
-                          rel.c_str(), vec_args.c_str()));
-      Line(out, "return n;");
-      --indent_;
-      Line(out, "}");
-    }
-    Line(out, "for (size_t i = 0; i < n; ++i) {");
-    ++indent_;
-    Line(out, StrFormat("on_%s(%ssign);", rel.c_str(), col_args.c_str()));
-    --indent_;
-    Line(out, "}");
+    Line(out, StrFormat("vec_%s(%snullptr, static_cast<uint32_t>(n), sign);",
+                        rel.c_str(), lanes.c_str()));
     Line(out, "return n;");
     --indent_;
     Line(out, "}");
@@ -2273,19 +2160,17 @@ Status Generator::EmitDispatcher(std::string* out) {
   --indent_;
   Line(out, "}");
 
-  if (any_vec_) {
-    // Selection-path observability for the bench harness.
-    Line(out, "uint64_t selected_rows() const override {");
-    ++indent_;
-    Line(out, "return selected_rows_.load(std::memory_order_relaxed);");
-    --indent_;
-    Line(out, "}");
-    Line(out, "uint64_t probe_runs() const override {");
-    ++indent_;
-    Line(out, "return probe_runs_.load(std::memory_order_relaxed);");
-    --indent_;
-    Line(out, "}");
-  }
+  // Selection-path observability for the bench harness.
+  Line(out, "uint64_t selected_rows() const override {");
+  ++indent_;
+  Line(out, "return selected_rows_.load(std::memory_order_relaxed);");
+  --indent_;
+  Line(out, "}");
+  Line(out, "uint64_t probe_runs() const override {");
+  ++indent_;
+  Line(out, "return probe_runs_.load(std::memory_order_relaxed);");
+  --indent_;
+  Line(out, "}");
   return Status::OK();
 }
 
@@ -2365,7 +2250,7 @@ Result<std::string> Generator::Run() {
   DBT_RETURN_IF_ERROR(EmitInitFunctions(&body));
   Line(&body, "");
   for (const tir::Trigger& trig : tir_.triggers) {
-    DBT_RETURN_IF_ERROR(EmitTrigger(trig, &body));
+    DBT_RETURN_IF_ERROR(EmitVecTrigger(trig, &body));
     Line(&body, "");
   }
   DBT_RETURN_IF_ERROR(EmitViews(&body));
@@ -2529,11 +2414,9 @@ Result<std::string> Generator::Run() {
   --indent_;
   Line(&body, "}");
 
-  if (any_vec_) {
-    Line(&body, "// --- selection-path counters ---");
-    Line(&body, "std::atomic<uint64_t> selected_rows_{0};");
-    Line(&body, "std::atomic<uint64_t> probe_runs_{0};");
-  }
+  Line(&body, "// --- selection-path counters ---");
+  Line(&body, "std::atomic<uint64_t> selected_rows_{0};");
+  Line(&body, "std::atomic<uint64_t> probe_runs_{0};");
 
   std::string out;
   out += "// Generated by dbtc (DBToaster SQL-to-C++ compiler). DO NOT EDIT.\n";

@@ -16,15 +16,17 @@
 // scalar kernel so generated selection prologues never run a per-row
 // std::string comparison loop inline.
 //
-// Generated vec_<R> handlers run every batch group of more than one row
-// through these kernels; the per-row on_<R> handler stays for single
-// events. Both produce byte-identical state (tests/shard_test.cc and the
-// differential harness pin batched against per-event replay).
+// A generated vec_<R> handler runs these kernels over every call's rows: a
+// whole batch group, one shard of it, or the single row on_<R> forwards.
+// Batched and per-event replay produce byte-identical state
+// (tests/shard_test.cc and the differential harness pin them together).
 #ifndef DBTOASTER_CODEGEN_DBT_SELECT_H_
 #define DBTOASTER_CODEGEN_DBT_SELECT_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -121,7 +123,7 @@ inline uint32_t SelStrNe(const std::string* lane, const std::string& c,
 }
 
 /// Stack-or-heap scratch for one selection vector. Groups up to kInline
-/// rows (including the scalar on_<R> wrapper's 1-row lanes) select with no
+/// rows (including the one-row lanes on_<R> forwards) select with no
 /// allocation; larger groups spill to a vector sized once per call.
 class SelBuf {
  public:
@@ -136,6 +138,50 @@ class SelBuf {
   uint32_t small_[kInline];
   std::vector<uint32_t> heap_;
 };
+
+/// Lexicographic order of rows on a statement's int64 key lanes. Every
+/// run-batched statement sorts through this one comparator type, so a
+/// generated header instantiates the sort once, not once per statement.
+struct KeyLess {
+  const int64_t* const* keys;
+  size_t nkeys;
+  bool operator()(uint32_t a, uint32_t b) const {
+    for (size_t k = 0; k < nkeys; ++k) {
+      if (keys[k][a] != keys[k][b]) return keys[k][a] < keys[k][b];
+    }
+    return false;
+  }
+};
+
+/// Key runs of a run-batched statement: stable-sorts the `n` rows of `sel`
+/// (nullptr: 0..n-1) on the int64 lanes `keys`, then calls `run(rows, m)`
+/// once per maximal run of equal keys and returns the number of runs. Rows
+/// keep their selection order within a run, so each key sees the per-event
+/// write sequence. One row neither sorts nor allocates, which keeps the
+/// per-event path (on_<R> forwarding one row) as cheap as a probe.
+template <typename Run>
+inline uint64_t KeyRuns(const uint32_t* sel, uint32_t n,
+                        std::initializer_list<const int64_t*> keys, Run run) {
+  if (n == 0) return 0;
+  if (n == 1) {
+    const uint32_t row = sel != nullptr ? sel[0] : 0;
+    run(&row, 1);
+    return 1;
+  }
+  SelBuf buf;
+  uint32_t* rows = buf.data(n);
+  for (uint32_t i = 0; i < n; ++i) rows[i] = sel != nullptr ? sel[i] : i;
+  const KeyLess less{keys.begin(), keys.size()};
+  std::stable_sort(rows, rows + n, less);
+  uint64_t runs = 0;
+  for (uint32_t lo = 0; lo < n; ++runs) {
+    uint32_t hi = lo + 1;
+    while (hi < n && !less(rows[lo], rows[hi])) ++hi;
+    run(rows + lo, hi - lo);
+    lo = hi;
+  }
+  return runs;
+}
 
 }  // namespace dbt
 

@@ -486,6 +486,59 @@ void AppendRow(std::vector<EventColumn>& cols, size_t& rows,
   ++rows;
 }
 
+/// Append a whole group's lanes (`src`, `src_rows` rows, defect record
+/// `src_defect`) to another group's, shared by the two batch types' group
+/// merges. Lane by lane, the result is what appending the rows one at a
+/// time would give: numeric lanes widen as push_f64 does, a lane whose kind
+/// does not fit (or an arity that differs) is recorded as a defect at the
+/// first absorbed row and padded with the lane's zero, and the absorbed
+/// group's own defect carries over, its row offset by the rows already
+/// held.
+inline void MergeColumns(std::vector<EventColumn>& cols, size_t& rows,
+                         RowDefect& defect,
+                         const std::vector<EventColumn>& src,
+                         size_t src_rows, const RowDefect& src_defect) {
+  if (src_rows == 0) return;
+  if (rows == 0 && cols.empty()) cols.resize(src.size());
+  if (src.size() != cols.size()) {
+    defect.note(RowDefect::Kind::kRagged, rows,
+                std::min(src.size(), cols.size()));
+  }
+  for (size_t c = 0; c < cols.size(); ++c) {
+    EventColumn& to = cols[c];
+    const bool fits = c < src.size() && (to.size() == 0 ||
+                      (to.tag == EventColumn::Tag::kStr) ==
+                          (src[c].tag == EventColumn::Tag::kStr));
+    if (!fits) {
+      if (c < src.size()) defect.note(RowDefect::Kind::kMistyped, rows, c);
+      for (size_t r = 0; r < src_rows; ++r) to.push_zero();
+      continue;
+    }
+    const EventColumn& from = src[c];
+    if (to.size() == 0) to.tag = from.tag;
+    if (from.tag == EventColumn::Tag::kF64) to.retag(EventColumn::Tag::kF64);
+    switch (to.tag) {
+      case EventColumn::Tag::kStr:
+        to.str.insert(to.str.end(), from.str.begin(), from.str.end());
+        break;
+      case EventColumn::Tag::kF64:
+        if (from.tag == EventColumn::Tag::kF64) {
+          to.f64.insert(to.f64.end(), from.f64.begin(), from.f64.end());
+        } else {
+          to.f64.insert(to.f64.end(), from.i64.begin(), from.i64.end());
+        }
+        break;
+      case EventColumn::Tag::kI64:
+        to.i64.insert(to.i64.end(), from.i64.begin(), from.i64.end());
+        break;
+    }
+  }
+  if (src_defect.kind != RowDefect::Kind::kNone) {
+    defect.note(src_defect.kind, rows + src_defect.row, src_defect.col);
+  }
+  rows += src_rows;
+}
+
 /// One batch of deltas at the dynamic boundary, grouped per (relation, op)
 /// in first-encounter order with columnar per-group storage. The runtime's
 /// EventBatch holds the same EventColumn lanes, so a driving engine moves
@@ -527,7 +580,8 @@ class EventBatch {
     for (Group& existing : groups_) {
       if (existing.is_insert == g.is_insert &&
           existing.relation == g.relation) {
-        for (size_t i = 0; i < g.rows; ++i) existing.add(g.row(i));
+        MergeColumns(existing.cols, existing.rows, existing.defect, g.cols,
+                     g.rows, g.defect);
         return;
       }
     }

@@ -61,7 +61,8 @@ void EventBatch::Add(EventKind kind, const std::string& relation, Row tuple) {
 void EventBatch::AddGroup(Group&& group) {
   for (Group& g : groups_) {
     if (g.kind == group.kind && g.relation == group.relation) {
-      for (size_t i = 0; i < group.rows; ++i) g.Add(group.RowAt(i));
+      dbt::MergeColumns(g.cols, g.rows, g.defect, group.cols, group.rows,
+                        group.defect);
       events_ += group.rows;
       return;
     }

@@ -413,13 +413,17 @@ TEST(IngestValidation, CompiledProgramRejectsMalformedBatches) {
 // Malformed batch groups: each shape is recorded when the row is added and
 // refused at validation, naming the relation, column and row — even by a
 // validator with no schemas. Every lane keeps one entry per row, so
-// nothing downstream reads past a lane.
+// nothing downstream reads past a lane. A malformed group merged into a
+// well-formed one of the same (relation, op) keeps its record, at its row
+// in the merged group.
 TEST(IngestValidation, MalformedGroupsAreRefusedWithRowAndColumn) {
   struct Case {
     const char* label;
     std::vector<Row> rows;
     StatusCode code;
     const char* column;
+    const char* row = "row 1";
+    std::vector<Row> merged = {};  ///< a second group, absorbed by AddGroup
   };
   const Case kCases[] = {
       {"short then long",
@@ -442,10 +446,24 @@ TEST(IngestValidation, MalformedGroupsAreRefusedWithRowAndColumn) {
         {Value(int64_t{2}), Value(int64_t{7}), Value(int64_t{4})}},
        StatusCode::kTypeError,
        "column 1"},
+      {"ragged group merged into a well-formed one",
+       {{Value(int64_t{1}), Value("x"), Value(int64_t{3})}},
+       StatusCode::kInvalidArgument,
+       "column 2",
+       "row 2",
+       {{Value(int64_t{2}), Value("y"), Value(int64_t{4})},
+        {Value(int64_t{5}), Value("z")}}},
   };
   for (const Case& c : kCases) {
     EventBatch b;
     for (const Row& row : c.rows) b.AddInsert("R", row);
+    if (!c.merged.empty()) {
+      EventBatch::Group extra("R", EventKind::kInsert);
+      for (const Row& row : c.merged) extra.Add(row);
+      b.AddGroup(std::move(extra));
+      ASSERT_EQ(b.groups().size(), 1u) << c.label;
+      EXPECT_EQ(b.size(), c.rows.size() + c.merged.size()) << c.label;
+    }
     const EventBatch::Group& g = b.groups()[0];
     for (const dbt::EventColumn& col : g.cols) {
       EXPECT_EQ(col.size(), g.rows) << c.label;
@@ -460,7 +478,7 @@ TEST(IngestValidation, MalformedGroupsAreRefusedWithRowAndColumn) {
     ASSERT_FALSE(st.ok()) << c.label;
     EXPECT_EQ(st.code(), c.code) << c.label << ": " << st.ToString();
     EXPECT_NE(st.message().find("'R'"), std::string::npos) << st.ToString();
-    EXPECT_NE(st.message().find("row 1"), std::string::npos) << st.ToString();
+    EXPECT_NE(st.message().find(c.row), std::string::npos) << st.ToString();
     EXPECT_NE(st.message().find(c.column), std::string::npos)
         << st.ToString();
     EXPECT_EQ(e->epoch(), 0u) << c.label;
@@ -475,6 +493,17 @@ TEST(IngestValidation, MalformedGroupsAreRefusedWithRowAndColumn) {
   EXPECT_EQ(dg.defect.row, 1u);
   EXPECT_EQ(dg.defect.col, 1u);
   EXPECT_EQ(dg.cols[1].size(), 2u);
+  // Merged into a well-formed group, the record moves with the rows.
+  dbt::EventBatch merged_dbt;
+  merged_dbt.add("R", true, {int64_t{0}, std::string("w")});
+  dg.relation = "R";
+  merged_dbt.add_group(std::move(dg));
+  ASSERT_EQ(merged_dbt.groups().size(), 1u);
+  EXPECT_EQ(merged_dbt.groups()[0].rows, 3u);
+  EXPECT_EQ(merged_dbt.groups()[0].defect.kind,
+            dbt::RowDefect::Kind::kMistyped);
+  EXPECT_EQ(merged_dbt.groups()[0].defect.row, 2u);
+  EXPECT_EQ(merged_dbt.groups()[0].defect.col, 1u);
 
   // A generated handler refuses such a group, and one whose lanes differ
   // from its schema, rather than reading them.
@@ -486,6 +515,14 @@ TEST(IngestValidation, MalformedGroupsAreRefusedWithRowAndColumn) {
   malformed.add("LINEITEM", true, {int64_t{2}, std::string("x"), 20.0, 0.06,
                                    int64_t{8800}});
   EXPECT_EQ(q6s->on_batch(malformed), 0u);
+  dbt::EventBatch::Group ragged{"LINEITEM", true, {}, 0, {}};
+  ragged.add(row);
+  ragged.add({int64_t{2}, int64_t{3}, 20.0, 0.06});
+  dbt::EventBatch merged;
+  merged.add("LINEITEM", true, row);
+  merged.add_group(std::move(ragged));
+  EXPECT_EQ(merged.groups()[0].defect.kind, dbt::RowDefect::Kind::kRagged);
+  EXPECT_EQ(q6s->on_batch(merged), 0u);
   dbt::EventBatch widened;
   widened.add("LINEITEM", true, {1.5, int64_t{3}, 20.0, 0.06, int64_t{8800}});
   EXPECT_EQ(q6s->on_batch(widened), 0u);

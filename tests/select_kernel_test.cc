@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <random>
@@ -211,6 +212,55 @@ TEST(SelectKernel, SelBufStackAndHeap) {
   ASSERT_NE(big, nullptr);
   big[4095] = 7;
   EXPECT_NE(small, big);
+}
+
+// Key runs: every selected row lands in exactly one run, runs hold equal
+// keys in selection order, consecutive runs differ, and the runs come out
+// in ascending key order — on no row, one row (no sort), and groups whose
+// row buffer stays on the stack or spills to the heap, over the identity
+// base and a selection.
+TEST(SelectKernel, KeyRunsPartitionRowsIntoStableEqualKeyRuns) {
+  for (uint32_t n : {0u, 1u, 2u, 63u, 64u, 65u, 500u}) {
+    const std::vector<int64_t> a = I64Lane(n, 3 + n), b = I64Lane(n, 5 + n);
+    std::vector<uint32_t> sel;
+    for (uint32_t i = 0; i < n; i += 2) sel.push_back(i);
+    for (const std::vector<uint32_t>* base :
+         {static_cast<const std::vector<uint32_t>*>(nullptr),
+          static_cast<const std::vector<uint32_t>*>(&sel)}) {
+      const uint32_t m =
+          base == nullptr ? n : static_cast<uint32_t>(sel.size());
+      std::vector<std::vector<uint32_t>> runs;
+      const uint64_t count = dbt::KeyRuns(
+          base == nullptr ? nullptr : base->data(), m, {a.data(), b.data()},
+          [&](const uint32_t* run, uint32_t run_n) {
+            runs.emplace_back(run, run + run_n);
+          });
+      ASSERT_EQ(count, runs.size()) << n;
+      std::vector<uint32_t> seen;
+      for (size_t r = 0; r < runs.size(); ++r) {
+        const uint32_t head = runs[r][0];
+        for (size_t k = 0; k < runs[r].size(); ++k) {
+          const uint32_t row = runs[r][k];
+          EXPECT_EQ(a[row], a[head]) << n;
+          EXPECT_EQ(b[row], b[head]) << n;
+          if (k > 0) {
+            EXPECT_LT(runs[r][k - 1], row) << n;
+          }
+          seen.push_back(row);
+        }
+        if (r > 0) {
+          const uint32_t prev = runs[r - 1][0];
+          EXPECT_TRUE(a[prev] < a[head] ||
+                      (a[prev] == a[head] && b[prev] < b[head]))
+              << n;
+        }
+      }
+      std::sort(seen.begin(), seen.end());
+      EXPECT_EQ(seen, Reference<int64_t>(a, base, [](const int64_t&) {
+                  return true;
+                })) << n;
+    }
+  }
 }
 
 }  // namespace

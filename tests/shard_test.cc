@@ -14,11 +14,12 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "bench/gen/mm.hpp"
+#include "bench/bench_scripts.h"
 #include "src/common/rng.h"
 #include "src/runtime/stream_engine.h"
 #include "src/sql/parser.h"
 #include "src/workload/orderbook.h"
+#include "tests/generated_programs.h"
 
 namespace dbtoaster {
 namespace {
@@ -26,21 +27,23 @@ namespace {
 using runtime::EventBatch;
 using runtime::StreamEngine;
 
+/// Every row and multiplicity, doubles at full precision: batched and
+/// per-event views must be byte-identical, not merely close.
 std::string Canon(const exec::QueryResult& r) {
   std::string s;
   for (const auto& [row, mult] : r.SortedRows()) {
     s += "(";
     for (size_t i = 0; i < row.size(); ++i) {
       if (i) s += ",";
-      if (row[i].is_string()) {
-        s += row[i].ToString();
-      } else {
+      if (row[i].is_double()) {
         char buf[64];
-        snprintf(buf, sizeof(buf), "%.9g", row[i].AsDouble());
+        snprintf(buf, sizeof(buf), "%.17g", row[i].AsDouble());
         s += buf;
+      } else {
+        s += row[i].ToString();
       }
     }
-    s += ")";
+    s += ")x" + std::to_string(mult);
   }
   return s;
 }
@@ -140,22 +143,38 @@ struct RunOutput {
   size_t state_bytes = 0;
 };
 
-/// Drives `engine` through the stream in fixed-size batches and returns the
-/// final canonical view plus retained state.
-RunOutput RunBatched(StreamEngine* engine, const std::vector<Event>& events,
-                     size_t batch_size, const std::string& view_name = "q") {
-  size_t i = 0;
-  while (i < events.size()) {
+/// Cuts the stream into consecutive batches whose sizes cycle through
+/// `sizes`.
+std::vector<EventBatch> Batches(const std::vector<Event>& events,
+                                const std::vector<size_t>& sizes) {
+  std::vector<EventBatch> out;
+  for (size_t i = 0, b = 0; i < events.size(); ++b) {
     EventBatch batch;
-    for (size_t j = 0; j < batch_size && i < events.size(); ++j, ++i) {
+    for (size_t j = 0; j < sizes[b % sizes.size()] && i < events.size();
+         ++j, ++i) {
       batch.Add(events[i].kind, events[i].relation, events[i].tuple);
     }
-    EXPECT_TRUE(engine->ApplyBatch(std::move(batch)).ok());
+    out.push_back(std::move(batch));
   }
+  return out;
+}
+
+RunOutput Output(StreamEngine* engine, const std::string& view_name) {
   auto view = engine->View(view_name);
   EXPECT_TRUE(view.ok()) << view.status().ToString();
   return RunOutput{view.ok() ? Canon(view.value()) : std::string(),
                    engine->StateBytes()};
+}
+
+/// Drives `engine` through the stream in batches whose sizes cycle through
+/// `batch_sizes` and returns the final canonical view plus retained state.
+RunOutput RunBatched(StreamEngine* engine, const std::vector<Event>& events,
+                     const std::vector<size_t>& batch_sizes,
+                     const std::string& view_name = "q") {
+  for (EventBatch& batch : Batches(events, batch_sizes)) {
+    EXPECT_TRUE(engine->ApplyBatch(std::move(batch)).ok());
+  }
+  return Output(engine, view_name);
 }
 
 std::unique_ptr<StreamEngine> MakeEngine(const std::string& name,
@@ -220,7 +239,7 @@ TEST(ShardDeterminism, ViewsAndStateIdenticalAcrossThreadCounts) {
       dbtoaster_gen::mm_Program program;
       auto engine = MakeEngine(name, catalog, sql, &program);
       ASSERT_NE(engine, nullptr);
-      RunOutput out = RunBatched(engine.get(), events, 512, view_name);
+      RunOutput out = RunBatched(engine.get(), events, {512}, view_name);
       EXPECT_EQ(out.view, reference)
           << name << " diverged from sequential replay at threads=" << threads;
       if (threads == 1) {
@@ -278,7 +297,7 @@ TEST(ShardDeterminism, InterpretedGroupedAggregateAcrossCutoff) {
       auto program = compiler::CompileQuery(cat, "q", query);
       ASSERT_TRUE(program.ok());
       runtime::Engine engine(std::move(program).value());
-      RunOutput out = RunBatched(&engine, events, batch);
+      RunOutput out = RunBatched(&engine, events, {batch});
       EXPECT_EQ(out.view, want)
           << "batch=" << batch << " threads=" << threads;
       if (threads == 1) {
@@ -291,16 +310,24 @@ TEST(ShardDeterminism, InterpretedGroupedAggregateAcrossCutoff) {
   }
 }
 
-/// Replays the stream one event at a time through OnEvent: the per-row
-/// on_<R> handlers of a generated program, the sequential path of the
-/// interpreter.
+/// Replays the stream one event at a time through OnEvent: the one-row
+/// on_<R> forwarders of a generated program, the sequential path of the
+/// interpreter. With `batch_sizes`, each batch RunBatched would apply is
+/// replayed in its group order, the order ApplyBatch applies its rows in,
+/// so double sums see the same additions in the same sequence.
 RunOutput RunPerEvent(StreamEngine* engine, const std::vector<Event>& events,
-                      const std::string& view_name = "q") {
-  for (const Event& ev : events) EXPECT_TRUE(engine->OnEvent(ev).ok());
-  auto view = engine->View(view_name);
-  EXPECT_TRUE(view.ok()) << view.status().ToString();
-  return RunOutput{view.ok() ? Canon(view.value()) : std::string(),
-                   engine->StateBytes()};
+                      const std::string& view_name = "q",
+                      const std::vector<size_t>& batch_sizes = {}) {
+  if (batch_sizes.empty()) {
+    for (const Event& ev : events) EXPECT_TRUE(engine->OnEvent(ev).ok());
+  } else {
+    for (const EventBatch& batch : Batches(events, batch_sizes)) {
+      for (const Event& ev : EventsOf(batch)) {
+        EXPECT_TRUE(engine->OnEvent(ev).ok());
+      }
+    }
+  }
+  return Output(engine, view_name);
 }
 
 // Batched ingest — selection prologues, statement-major vec phases, and
@@ -314,36 +341,50 @@ RunOutput RunPerEvent(StreamEngine* engine, const std::vector<Event>& events,
 TEST(ShardDeterminism, BatchedMatchesPerEventAcrossThreads) {
   PoolGuard pool_guard;
 
-  // Generated program: the market-maker query's guards feed the prologue.
+  // Generated programs: mm's guards feed the selection prologue; q41's and
+  // best_bid's triggers take the whole group in one vec_<R> call, vwap's and
+  // q13s's ORDERS trigger one row per call with pendings. Batches of 1, just
+  // below and at dbt::kShardBatchCutoff, and 1024 (selection after the
+  // shard split); the reference replays each batch per event in its group
+  // order.
+  std::vector<std::pair<const char*, std::vector<Event>>> programs;
   {
-    Catalog catalog = workload::OrderBookCatalog();
-    const std::string sql = workload::MarketMakerQuery();
     workload::OrderBookConfig cfg;
     cfg.p_modify = 0.2;
     cfg.p_withdraw = 0.15;
     workload::OrderBookGenerator gen(cfg);
-    const std::vector<Event> events = gen.Generate(6000);
-
+    programs.emplace_back("mm", gen.Generate(6000));
+  }
+  for (const char* name : {"q41", "best_bid", "vwap", "q13s"}) {
+    std::vector<Event> events;
+    for (const EventBatch& b : MakeStream(LoadScript(name).catalog, 29, 40)) {
+      for (Event& ev : EventsOf(b)) events.push_back(std::move(ev));
+    }
+    programs.emplace_back(name, std::move(events));
+  }
+  const std::vector<size_t> sizes = {1, dbt::kShardBatchCutoff - 1,
+                                     dbt::kShardBatchCutoff, 1024};
+  for (const auto& [name, events] : programs) {
     runtime::shard_pool().set_threads(1);
-    dbtoaster_gen::mm_Program ref_program;
-    auto reference = MakeEngine("toaster-c", catalog, sql, &ref_program);
-    ASSERT_NE(reference, nullptr);
-    const RunOutput want = RunPerEvent(reference.get(), events, "q0");
+    auto ref_program = MakeGenerated(name);
+    ASSERT_NE(ref_program, nullptr) << name;
+    runtime::CompiledProgramEngine reference(ref_program.get());
+    const RunOutput want = RunPerEvent(&reference, events, "q0", sizes);
 
     RunOutput at_one;
     for (size_t threads : {size_t{1}, size_t{8}}) {
       runtime::shard_pool().set_threads(threads);
-      dbtoaster_gen::mm_Program program;
-      auto engine = MakeEngine("toaster-c", catalog, sql, &program);
-      ASSERT_NE(engine, nullptr);
-      RunOutput out = RunBatched(engine.get(), events, 512, "q0");
-      EXPECT_EQ(out.view, want.view) << "threads=" << threads;
-      EXPECT_EQ(out.state_bytes, want.state_bytes) << "threads=" << threads;
+      auto program = MakeGenerated(name);
+      runtime::CompiledProgramEngine engine(program.get());
+      RunOutput out = RunBatched(&engine, events, sizes, "q0");
+      EXPECT_EQ(out.view, want.view) << name << " threads=" << threads;
+      EXPECT_EQ(out.state_bytes, want.state_bytes)
+          << name << " threads=" << threads;
       if (threads == 1) {
         at_one = out;
       } else {
         EXPECT_EQ(out.state_bytes, at_one.state_bytes)
-            << "threads=" << threads;
+            << name << " threads=" << threads;
       }
     }
   }
@@ -387,7 +428,7 @@ TEST(ShardDeterminism, BatchedMatchesPerEventAcrossThreads) {
         auto program = compiler::CompileQuery(cat, "q", query);
         ASSERT_TRUE(program.ok());
         runtime::Engine engine(std::move(program).value());
-        RunOutput out = RunBatched(&engine, events, batch);
+        RunOutput out = RunBatched(&engine, events, {batch});
         EXPECT_EQ(out.view, want.view)
             << "batch=" << batch << " threads=" << threads;
         EXPECT_EQ(out.state_bytes, want.state_bytes)
@@ -470,7 +511,7 @@ TEST(ShardDeterminism, DoubleTargetsShardOnlyWithPartitionKey) {
     auto program = compiler::CompileQuery(cat, "q", query);
     EXPECT_TRUE(program.ok());
     runtime::Engine engine(std::move(program).value());
-    RunOutput out = RunBatched(&engine, events, 512);
+    RunOutput out = RunBatched(&engine, events, {512});
     if (std::string(query).find("group by") != std::string::npos) {
       EXPECT_GT(engine.profile().sharded_groups, 0u)
           << "grouped double sum should take the sharded path";

@@ -9,9 +9,12 @@
 #      silent 2-3x regression on the map-ops microbenchmarks.
 #   2. no raw `new` — generated programs own no heap allocations directly;
 #      everything lives in value-semantic stores.
-#   3. per-relation handler completeness — every relation dispatched in
-#      on_batch()/on_event() has both its scalar handler (on_REL) and its
-#      batch handler (on_batch_REL).
+#   3. one trigger body per relation — every relation dispatched in
+#      on_batch()/on_event() has its trigger body (vec_REL), its per-event
+#      entry point (on_REL) and its batch handler (on_batch_REL). on_REL
+#      only forwards its row to vec_REL: its body holds no upd_ call, no
+#      pendings and no map access. No header mentions an emission budget
+#      (a size cap that silently drops a trigger body).
 #   4. selection loops are kernel-only — the selection prologue of a vec_
 #      handler may call dbt::Sel* kernels but must never compare strings
 #      per row (== "...", dbt::Like, strcmp); string guards go through the
@@ -76,7 +79,7 @@ for q in $QUERIES; do
   # Vectorized statement phases iterate sel*/srt* index vectors; a g.row()
   # materialization or a raw 0..n rescan inside a vec_ handler means the
   # selection vector was computed and then ignored.
-  vecbody=$(awk '/void vec_/,/probe_runs_\.fetch_add/' "$hpp")
+  vecbody=$(awk '/void vec_/,/^  }$/' "$hpp")
   if [ -n "$vecbody" ] && \
      echo "$vecbody" | grep -nE 'g\.row\(|for \(size_t i = 0; i < n;' >&2; then
     echo "lint_gen: FAIL — $q.hpp vec handler iterates the raw group instead of a selection vector" >&2
@@ -97,8 +100,17 @@ for q in $QUERIES; do
     fail=1
   fi
   for rel in $rels; do
+    if ! grep -q "void vec_${rel}(" "$hpp"; then
+      echo "lint_gen: FAIL — $q.hpp dispatches $rel but has no vec_${rel}() trigger body" >&2
+      fail=1
+    fi
     if ! grep -q "void on_${rel}(" "$hpp"; then
       echo "lint_gen: FAIL — $q.hpp dispatches $rel but has no on_${rel}() handler" >&2
+      fail=1
+    fi
+    onbody=$(awk "/void on_${rel}\\(/,/^  }\$/" "$hpp" | tail -n +2)
+    if echo "$onbody" | grep -nE 'upd_|pend|[[:alnum:]]_\.|_read\(|\.entries\(' >&2; then
+      echo "lint_gen: FAIL — $q.hpp on_${rel}() does more than forward its row to vec_${rel}()" >&2
       fail=1
     fi
     if ! grep -q "on_batch_${rel}(" "$hpp"; then
@@ -114,6 +126,11 @@ for q in $QUERIES; do
       fail=1
     fi
   done
+
+  if grep -niE 'emission budget' "$hpp" >&2; then
+    echo "lint_gen: FAIL — $q.hpp mentions an emission budget (a dropped trigger body)" >&2
+    fail=1
+  fi
 
   # Serving surface: the snapshot-publish hook the concurrent view-serving
   # tier renders published epochs through.
